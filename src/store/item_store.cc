@@ -11,14 +11,21 @@ ItemStore::ItemStore(DefaultFactory default_factory, size_t shard_count)
     : shards_(shard_count == 0 ? 1 : shard_count),
       default_factory_(std::move(default_factory)) {}
 
-Result<PolyValue> ItemStore::Read(const ItemKey& key) const {
+Result<PolyValue> ItemStore::Read(const ItemKey& key,
+                                  uint64_t* write_lsn) const {
   Shard& shard = ShardFor(key);
   {
     MutexLock lock(&shard.mu);
     auto it = shard.items.find(key);
     if (it != shard.items.end()) {
-      return it->second;
+      if (write_lsn != nullptr) {
+        *write_lsn = it->second.write_lsn;
+      }
+      return it->second.value;
     }
+  }
+  if (write_lsn != nullptr) {
+    *write_lsn = 0;
   }
   if (default_factory_ != nullptr) {
     return default_factory_(key);
@@ -29,7 +36,16 @@ Result<PolyValue> ItemStore::Read(const ItemKey& key) const {
 void ItemStore::Write(const ItemKey& key, PolyValue value) {
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
-  shard.items.insert_or_assign(key, std::move(value));
+  shard.items.insert_or_assign(key, Item{std::move(value), 0});
+}
+
+void ItemStore::SetWriteLsn(const ItemKey& key, uint64_t lsn) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(&shard.mu);
+  auto it = shard.items.find(key);
+  if (it != shard.items.end()) {
+    it->second.write_lsn = lsn;
+  }
 }
 
 bool ItemStore::Contains(const ItemKey& key) const {
@@ -51,8 +67,8 @@ size_t ItemStore::UncertainCount() const {
   size_t n = 0;
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    for (const auto& [key, value] : shard.items) {
-      if (!value.is_certain()) {
+    for (const auto& [key, item] : shard.items) {
+      if (!item.value.is_certain()) {
         ++n;
       }
     }
@@ -64,8 +80,8 @@ std::vector<ItemKey> ItemStore::UncertainKeys() const {
   std::vector<ItemKey> keys;
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    for (const auto& [key, value] : shard.items) {
-      if (!value.is_certain()) {
+    for (const auto& [key, item] : shard.items) {
+      if (!item.value.is_certain()) {
         keys.push_back(key);
       }
     }
@@ -79,8 +95,8 @@ void ItemStore::ForEach(
   std::vector<std::pair<ItemKey, PolyValue>> snapshot;
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mu);
-    for (const auto& [key, value] : shard.items) {
-      snapshot.emplace_back(key, value);
+    for (const auto& [key, item] : shard.items) {
+      snapshot.emplace_back(key, item.value);
     }
   }
   std::sort(snapshot.begin(), snapshot.end(),
@@ -90,40 +106,67 @@ void ItemStore::ForEach(
   }
 }
 
-Status ItemStore::Lock(const ItemKey& key, TxnId txn) {
-  MutexLock lock(&lock_mu_);
-  auto it = locks_.find(key);
-  if (it != locks_.end()) {
-    if (it->second == txn) {
-      return OkStatus();  // re-entrant
-    }
-    return AbortedError(StrCat("item '", key, "' locked by ", it->second));
-  }
-  locks_.emplace(key, txn);
+void ItemStore::GrantLocked(const ItemKey& key, ItemLock* lock, TxnId txn,
+                            LockMode mode) {
+  lock->mode = mode;
+  lock->holders.insert(
+      std::upper_bound(lock->holders.begin(), lock->holders.end(), txn), txn);
   held_[txn].push_back(key);
-  return OkStatus();
 }
 
-ItemStore::LockAttempt ItemStore::LockOrQueue(const ItemKey& key,
-                                              TxnId txn) {
+bool ItemStore::TryGrantLocked(const ItemKey& key, ItemLock* lock, TxnId txn,
+                               LockMode mode) {
+  if (std::binary_search(lock->holders.begin(), lock->holders.end(), txn)) {
+    // Re-entry: X covers S; S upgrades to X only for the sole reader.
+    if (lock->mode == LockMode::kExclusive || mode == LockMode::kShared) {
+      return true;
+    }
+    if (lock->holders.size() == 1) {
+      lock->mode = LockMode::kExclusive;
+      return true;
+    }
+    return false;
+  }
+  if (!Compatible(*lock, mode)) {
+    return false;
+  }
+  GrantLocked(key, lock, txn, mode);
+  return true;
+}
+
+Status ItemStore::Lock(const ItemKey& key, TxnId txn, LockMode mode) {
   MutexLock lock(&lock_mu_);
-  auto it = locks_.find(key);
-  if (it == locks_.end()) {
-    locks_.emplace(key, txn);
-    held_[txn].push_back(key);
+  ItemLock& item = locks_[key];
+  if (TryGrantLocked(key, &item, txn, mode)) {
+    return OkStatus();
+  }
+  return AbortedError(
+      StrCat("item '", key, "' locked by ", item.holders.front()));
+}
+
+ItemStore::LockAttempt ItemStore::LockOrQueue(const ItemKey& key, TxnId txn,
+                                              LockMode mode) {
+  MutexLock lock(&lock_mu_);
+  ItemLock& item = locks_[key];
+  if (TryGrantLocked(key, &item, txn, mode)) {
     return LockAttempt::kGranted;
   }
-  if (it->second == txn) {
-    return LockAttempt::kGranted;  // re-entrant
-  }
-  // Wait-die: only an older transaction may wait for a younger holder.
-  if (!(txn < it->second)) {
+  // Wait-die: only a transaction older than every conflicting holder may
+  // wait. Every holder conflicts (X excludes all), and holders are
+  // sorted eldest first. A refused upgrade is itself a holder, so it
+  // never passes this test.
+  if (!(txn < item.holders.front())) {
     return LockAttempt::kRefused;
   }
-  std::vector<TxnId>& queue = waiters_[key];
-  if (std::find(queue.begin(), queue.end(), txn) == queue.end()) {
-    queue.insert(
-        std::upper_bound(queue.begin(), queue.end(), txn), txn);
+  std::vector<Waiter>& queue = waiters_[key];
+  const auto pos = std::find_if(queue.begin(), queue.end(),
+                                [&](const Waiter& w) { return w.txn == txn; });
+  if (pos == queue.end()) {
+    queue.insert(std::upper_bound(queue.begin(), queue.end(), txn,
+                                  [](TxnId t, const Waiter& w) {
+                                    return t < w.txn;
+                                  }),
+                 Waiter{txn, mode});
   }
   return LockAttempt::kQueued;
 }
@@ -135,49 +178,60 @@ std::vector<ItemStore::Grant> ItemStore::UnlockAll(TxnId txn) {
   if (it != held_.end()) {
     for (const ItemKey& key : it->second) {
       auto lock_it = locks_.find(key);
-      if (lock_it == locks_.end() || lock_it->second != txn) {
+      if (lock_it == locks_.end()) {
         continue;
       }
-      locks_.erase(lock_it);
-      // Hand the item to its eldest waiter, if any.
+      ItemLock& item = lock_it->second;
+      auto holder = std::lower_bound(item.holders.begin(),
+                                     item.holders.end(), txn);
+      if (holder == item.holders.end() || *holder != txn) {
+        continue;
+      }
+      item.holders.erase(holder);
+      // Grant the queue front for as long as its modes stay compatible.
       auto queue_it = waiters_.find(key);
-      if (queue_it != waiters_.end() && !queue_it->second.empty()) {
-        const TxnId next = queue_it->second.front();
-        queue_it->second.erase(queue_it->second.begin());
-        if (queue_it->second.empty()) {
+      if (queue_it != waiters_.end()) {
+        std::vector<Waiter>& queue = queue_it->second;
+        size_t granted = 0;
+        while (granted < queue.size() &&
+               Compatible(item, queue[granted].mode)) {
+          GrantLocked(key, &item, queue[granted].txn, queue[granted].mode);
+          grants.push_back({queue[granted].txn, key});
+          ++granted;
+        }
+        queue.erase(queue.begin(), queue.begin() + granted);
+        if (queue.empty()) {
           waiters_.erase(queue_it);
         }
-        locks_.emplace(key, next);
-        held_[next].push_back(key);
-        grants.push_back({next, key});
+      }
+      if (item.holders.empty()) {
+        locks_.erase(lock_it);
       }
     }
-    held_.erase(it);
+    held_.erase(txn);
   }
   // Drop any waits the departing transaction still had queued.
+  DropWaitsLocked(txn);
+  return grants;
+}
+
+void ItemStore::DropWaitsLocked(TxnId txn) {
   for (auto queue_it = waiters_.begin(); queue_it != waiters_.end();) {
     auto& queue = queue_it->second;
-    queue.erase(std::remove(queue.begin(), queue.end(), txn), queue.end());
+    queue.erase(std::remove_if(queue.begin(), queue.end(),
+                               [&](const Waiter& w) { return w.txn == txn; }),
+                queue.end());
     if (queue.empty()) {
       queue_it = waiters_.erase(queue_it);
     } else {
       ++queue_it;
     }
   }
-  return grants;
 }
 
 void ItemStore::CancelWaits(TxnId txn) {
   MutexLock lock(&lock_mu_);
-  for (auto queue_it = waiters_.begin(); queue_it != waiters_.end();) {
-    auto& queue = queue_it->second;
-    queue.erase(std::remove(queue.begin(), queue.end(), txn), queue.end());
-    if (queue.empty()) {
-      queue_it = waiters_.erase(queue_it);
-    } else {
-      ++queue_it;
-    }
-  }
+  DropWaitsLocked(txn);
 }
 
 std::optional<TxnId> ItemStore::LockHolder(const ItemKey& key) const {
@@ -186,7 +240,7 @@ std::optional<TxnId> ItemStore::LockHolder(const ItemKey& key) const {
   if (it == locks_.end()) {
     return std::nullopt;
   }
-  return it->second;
+  return it->second.holders.front();
 }
 
 size_t ItemStore::locked_count() const {

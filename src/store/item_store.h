@@ -7,7 +7,10 @@
 //
 // Locking implements strict two-phase locking at item granularity —
 // enough to serialise transactions *within* a site; cross-site atomicity
-// is the commit protocol's job. Crucially, installing a polyvalue
+// is the commit protocol's job. Locks come in two modes: shared (S) for
+// items a transaction only reads, exclusive (X) for items it writes. S
+// is compatible with S only; a reader may upgrade S to X only while it
+// is the sole holder. Crucially, installing a polyvalue
 // RELEASES the lock: that is the paper's entire point. A blocked 2PC
 // participant would hold the lock through the in-doubt window; a
 // polyvalue participant records the uncertainty in the data itself and
@@ -52,12 +55,20 @@ class ItemStore {
 
   // --- data plane (sharded) ---
 
-  // Reads the current (poly)value of an item.
-  Result<PolyValue> Read(const ItemKey& key) const;
+  // Reads the current (poly)value of an item. When `write_lsn` is
+  // non-null it receives the WAL sequence number stamped on the item by
+  // SetWriteLsn (0 for an item no logged record wrote).
+  Result<PolyValue> Read(const ItemKey& key,
+                         uint64_t* write_lsn = nullptr) const;
 
   // Unconditional write (used by initial loading and by the engine once a
-  // transaction's fate is decided).
+  // transaction's fate is decided). Resets the item's write LSN to 0.
   void Write(const ItemKey& key, PolyValue value);
+
+  // Records that the WAL record with sequence number `lsn` is the last
+  // one logging the item's current value. A reader that exposes the
+  // value must not outrun that record.
+  void SetWriteLsn(const ItemKey& key, uint64_t lsn);
 
   bool Contains(const ItemKey& key) const;
   size_t size() const;
@@ -76,23 +87,33 @@ class ItemStore {
   void ForEach(
       const std::function<void(const ItemKey&, const PolyValue&)>& fn) const;
 
-  // --- lock plane (strict 2PL, exclusive item locks) ---
+  // --- lock plane (strict 2PL, shared and exclusive item locks) ---
 
-  // Acquires `key` for `txn`. Fails with ABORTED on conflict (the engine
-  // uses immediate-abort rather than deadlock-prone waiting). Re-entrant
-  // for the same transaction.
-  Status Lock(const ItemKey& key, TxnId txn);
+  enum class LockMode : uint8_t { kShared, kExclusive };
 
-  // Wait-die variant: on conflict, an OLDER requester (smaller txn id —
-  // ids grow over time) is queued behind the holder instead of refused;
-  // a younger requester still "dies" (kRefused). Deadlock-free: waits
-  // only ever point from older to younger, so no cycles form.
+  // Acquires `key` for `txn` in `mode`. Fails with ABORTED on conflict
+  // (the engine uses immediate-abort rather than deadlock-prone
+  // waiting). Re-entrant for the same transaction: X covers S, and S
+  // upgrades to X when `txn` is the only reader.
+  Status Lock(const ItemKey& key, TxnId txn,
+              LockMode mode = LockMode::kExclusive);
+
+  // Wait-die variant: a requester waits only if it is OLDER (smaller txn
+  // id — ids grow over time) than every holder its mode conflicts with;
+  // otherwise it "dies" (kRefused). So a wait points from older to
+  // younger when it is queued. Holders granted later (the next waiters
+  // of a released item, or readers joining readers) may be older than a
+  // queued waiter; the engine's compute-phase watchdog bounds such
+  // waits. An upgrade that cannot be granted at once is refused.
   enum class LockAttempt { kGranted, kQueued, kRefused };
-  LockAttempt LockOrQueue(const ItemKey& key, TxnId txn);
+  LockAttempt LockOrQueue(const ItemKey& key, TxnId txn,
+                          LockMode mode = LockMode::kExclusive);
 
-  // Releases every lock held by `txn`, granting each freed item to its
-  // eldest waiter. Returns the (txn, key) grants made, so the engine can
-  // resume parked work. Also removes `txn` from any wait queues.
+  // Releases every lock held by `txn`. Each freed item is granted to its
+  // waiters in queue order (eldest first) for as long as their modes are
+  // compatible with the holders. Returns the (txn, key) grants made, so
+  // the engine can resume parked work. Also removes `txn` from any wait
+  // queues.
   struct Grant {
     TxnId txn;
     ItemKey key;
@@ -103,15 +124,45 @@ class ItemStore {
   // locks it already holds.
   void CancelWaits(TxnId txn);
 
-  // The transaction currently holding `key`, if any.
+  // A transaction holding `key`, if any: the writer under X, the eldest
+  // reader under S.
   std::optional<TxnId> LockHolder(const ItemKey& key) const;
+  // Number of items locked in either mode.
   size_t locked_count() const;
 
  private:
+  struct Item {
+    PolyValue value;
+    uint64_t write_lsn = 0;
+  };
   struct Shard {
     mutable Mutex mu POLYV_MUTEX_RANK(kStoreShard);
-    std::map<ItemKey, PolyValue> items GUARDED_BY(mu);
+    std::map<ItemKey, Item> items GUARDED_BY(mu);
   };
+  // One item's lock: its holders (one writer, or any number of readers,
+  // kept sorted eldest first) and their mode.
+  struct ItemLock {
+    LockMode mode = LockMode::kShared;
+    std::vector<TxnId> holders;
+  };
+  struct Waiter {
+    TxnId txn;
+    LockMode mode;
+  };
+
+  // True when `txn` may join `lock`'s holders in `mode` right now.
+  static bool Compatible(const ItemLock& lock, LockMode mode) {
+    return lock.holders.empty() ||
+           (lock.mode == LockMode::kShared && mode == LockMode::kShared);
+  }
+  // Grants `key` to `txn` in `mode` (the caller checked compatibility).
+  void GrantLocked(const ItemKey& key, ItemLock* lock, TxnId txn,
+                   LockMode mode) REQUIRES(lock_mu_);
+  // Grants `key` to `txn` in `mode` if it can be granted right now,
+  // counting re-entry by a holder. False on a conflict.
+  bool TryGrantLocked(const ItemKey& key, ItemLock* lock, TxnId txn,
+                      LockMode mode) REQUIRES(lock_mu_);
+  void DropWaitsLocked(TxnId txn) REQUIRES(lock_mu_);
 
   Shard& ShardFor(const ItemKey& key) const {
     return shards_[std::hash<ItemKey>()(key) % shards_.size()];
@@ -125,10 +176,10 @@ class ItemStore {
   // together with a shard mutex; it still gets a rank below the shards
   // so that if the planes ever do nest, lockdep fixes the direction.
   mutable Mutex lock_mu_ POLYV_MUTEX_RANK(kStoreLockPlane);
-  std::unordered_map<ItemKey, TxnId> locks_ GUARDED_BY(lock_mu_);
+  std::unordered_map<ItemKey, ItemLock> locks_ GUARDED_BY(lock_mu_);
   std::unordered_map<TxnId, std::vector<ItemKey>> held_ GUARDED_BY(lock_mu_);
   // Per-item wait queues (wait-die), kept sorted eldest-first.
-  std::unordered_map<ItemKey, std::vector<TxnId>> waiters_
+  std::unordered_map<ItemKey, std::vector<Waiter>> waiters_
       GUARDED_BY(lock_mu_);
 };
 

@@ -2,6 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -299,21 +302,24 @@ Status Wal::WriteAndSync(const std::vector<std::string>& bodies,
   return OkStatus();
 }
 
-Status Wal::Append(const WalRecord& record) {
+Result<uint64_t> Wal::Append(const WalRecord& record) {
   std::string body = record.Encode();
 
   if (options_.sync_policy == SyncPolicy::kGroupCommit) {
+    uint64_t lsn = 0;
     bool flush_now = false;
     {
       MutexLock lock(&mu_);
       pending_.push_back(std::move(body));
-      ++appended_seq_;
-      ++records_appended_;
+      lsn = ++appended_seq_;
       flush_now = pending_.size() >= options_.max_batch;
     }
-    // A full buffer flushes inline; otherwise the record waits for the
-    // next Flush() barrier (engine ack point) or a concurrent flusher.
-    return flush_now ? Flush() : OkStatus();
+    // A full buffer flushes inline; otherwise the record waits for a
+    // FlushTo() barrier that needs it or a concurrent flusher.
+    if (flush_now) {
+      POLYV_RETURN_IF_ERROR(FlushTo(lsn));
+    }
+    return lsn;
   }
 
   ByteWriter frame;
@@ -331,24 +337,24 @@ Status Wal::Append(const WalRecord& record) {
       return UnavailableError("WAL fsync failed");
     }
   }
-  ++records_appended_;
-  ++appended_seq_;
-  durable_seq_ = appended_seq_;
+  durable_seq_ = ++appended_seq_;
   ++batches_flushed_;
   ++records_flushed_;
-  return OkStatus();
+  return appended_seq_;
 }
 
-Status Wal::Flush() {
+Status Wal::Flush() { return FlushTo(std::numeric_limits<uint64_t>::max()); }
+
+Status Wal::FlushTo(uint64_t lsn) {
   if (options_.sync_policy != SyncPolicy::kGroupCommit) {
     return OkStatus();  // per-append policies are already durable-as-promised
   }
   mu_.Lock();
-  const uint64_t target = appended_seq_;
+  const uint64_t target = std::min(lsn, appended_seq_);
   Status result = OkStatus();
   while (durable_seq_ < target) {
     if (flushing_) {
-      // Another thread's flush is in flight and will cover our records
+      // Another thread's flush is in flight and may cover our records
       // (or we re-check and lead the next batch).
       cv_.Wait(&mu_);
       continue;
@@ -416,7 +422,7 @@ Status Wal::Sync() {
 
 uint64_t Wal::records_appended() const {
   MutexLock lock(&mu_);
-  return records_appended_;
+  return appended_seq_;
 }
 
 uint64_t Wal::batches_flushed() const {

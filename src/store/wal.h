@@ -21,12 +21,18 @@
 //                  against process death, not power loss).
 //   kEveryAppend — fflush + fsync per append (the honest per-record
 //                  durability story; slow).
-//   kGroupCommit — appends only buffer in memory; Flush() coalesces every
-//                  buffered record into ONE batch frame + fsync. The
-//                  engine calls Flush() before releasing any externally
-//                  visible effect (message send, client callback), so an
-//                  acknowledged write is always durable, while concurrent
-//                  transactions share the same physical write+fsync.
+//   kGroupCommit — appends only buffer in memory; FlushTo(lsn) coalesces
+//                  every buffered record into ONE batch frame + fsync.
+//
+// Sequence numbers: Append returns the record's log sequence number
+// (LSN): 1 for the first record this Wal accepts, then consecutive.
+// FlushTo(lsn) makes every record up to `lsn` durable; the durable log is
+// always a prefix of the appended one. The engine holds each message or
+// client callback until the records it depends on are durable — the
+// records its own locked section appended and the records that wrote the
+// item values it read — so an acknowledged write is always durable, a
+// record nothing depends on yet stays buffered, and concurrent
+// transactions share one physical write+fsync.
 #ifndef SRC_STORE_WAL_H_
 #define SRC_STORE_WAL_H_
 
@@ -113,12 +119,19 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  Status Append(const WalRecord& record);
+  // Appends `record` and returns its LSN.
+  Result<uint64_t> Append(const WalRecord& record);
 
-  // Group-commit barrier: blocks until every record appended before this
-  // call is durable (one coalesced write + fsync, shared with concurrent
-  // callers). No-op under the per-append policies, whose appends are
-  // already as durable as they will get.
+  // Group-commit barrier: blocks until every record with an LSN up to
+  // `lsn` (clamped to the last one appended) is durable. A flush this
+  // call leads writes everything buffered at that moment as one batch,
+  // since the single fsync costs the same; a call whose records are
+  // already durable returns at once and leaves later records buffered.
+  // No-op under the per-append policies, whose appends are already as
+  // durable as they will get.
+  Status FlushTo(uint64_t lsn);
+
+  // FlushTo(every record appended so far).
   Status Flush();
 
   // Strong barrier: Flush() plus an unconditional fsync.
@@ -164,9 +177,8 @@ class Wal {
   // Group commit: encoded record bodies awaiting the next flush.
   std::vector<std::string> pending_ GUARDED_BY(mu_);
   bool flushing_ GUARDED_BY(mu_) = false;
-  uint64_t appended_seq_ GUARDED_BY(mu_) = 0;  // records accepted by Append
+  uint64_t appended_seq_ GUARDED_BY(mu_) = 0;  // LSN of the last Append
   uint64_t durable_seq_ GUARDED_BY(mu_) = 0;   // covered by a flush
-  uint64_t records_appended_ GUARDED_BY(mu_) = 0;
   uint64_t batches_flushed_ GUARDED_BY(mu_) = 0;
   uint64_t records_flushed_ GUARDED_BY(mu_) = 0;
 };

@@ -36,9 +36,24 @@
 // group-commit fsyncs happen at the FlushOutbox barrier — after unlock.
 // The same object is driven by the deterministic simulator and by real
 // threads.
+//
+// Durability rule: the deferred effects of one locked section wait only
+// for the WAL records they depend on — the records the section appended
+// and the records that wrote the item values it read (each item carries
+// the LSN of its last logged write). Effects that report outcome
+// knowledge (inquiry answers, outcome pushes, §3.4 subscriptions,
+// recovery) wait for the whole log. A record nothing depends on yet,
+// such as a participant's installs after COMPLETE, stays buffered until
+// a later flush carries it; if a crash loses it, recovery rebuilds the
+// same state from the forced kPrepared record and an inquiry answered
+// from the coordinator's forced decision.
+//
+// Locks: PREPARE and the local fast path lock keys they only read in
+// shared mode and keys they write in exclusive mode.
 #ifndef SRC_TXN_ENGINE_H_
 #define SRC_TXN_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -319,7 +334,13 @@ class TxnEngine : public CommitProtocol {
   struct Outbox {
     std::vector<std::pair<SiteId, Message>> sends;
     std::vector<std::function<void()>> thunks;
+    // Highest WAL LSN the effects depend on; FlushOutbox makes the log
+    // durable up to here first. 0 = no dependency.
+    uint64_t wal_target = 0;
+    void DependOn(uint64_t lsn) { wal_target = std::max(wal_target, lsn); }
   };
+  // Outbox target for effects that report outcome knowledge.
+  static constexpr uint64_t kWholeLog = ~uint64_t{0};
 
   // -- coordinator internals (engine_coordinator.cc) --
   // Every private handler below runs with mu_ held: public entry points
@@ -373,7 +394,11 @@ class TxnEngine : public CommitProtocol {
 
   // -- shared internals (engine_common.cc) --
   // Installs `value` for `key`, maintaining dependency tracking and WAL.
-  void InstallValue(const ItemKey& key, const PolyValue& raw_value)
+  void InstallValue(const ItemKey& key, const PolyValue& raw_value,
+                    Outbox* out) REQUIRES(mu_);
+  // Reads `key` for an effect in `out` that exposes its value: the
+  // effect then waits for the record that wrote the value.
+  Result<PolyValue> ReadExposed(const ItemKey& key, Outbox* out) const
       REQUIRES(mu_);
   void HandleLearnedOutcome(TxnId txn, bool committed, Outbox* out)
       REQUIRES(mu_);
@@ -382,11 +407,14 @@ class TxnEngine : public CommitProtocol {
       REQUIRES(mu_);
   void InquiryTick();
   void MarkPreparedDurable(TxnId txn, SiteId coordinator,
-                           const std::map<ItemKey, PolyValue>& writes)
+                           const std::map<ItemKey, PolyValue>& writes,
+                           Outbox* out) REQUIRES(mu_);
+  void ClearPreparedDurable(TxnId txn, Outbox* out) REQUIRES(mu_);
+  void RecordDecisionDurable(TxnId txn, bool commit, Outbox* out)
       REQUIRES(mu_);
-  void ClearPreparedDurable(TxnId txn) REQUIRES(mu_);
-  void RecordDecisionDurable(TxnId txn, bool commit) REQUIRES(mu_);
-  void Wal_(const WalRecord& record) REQUIRES(mu_);
+  // Appends `record` (when a WAL is attached) and makes `out`'s effects
+  // depend on it. Returns its LSN, 0 without a WAL.
+  uint64_t Wal_(const WalRecord& record, Outbox* out) REQUIRES(mu_);
   void FlushOutbox(Outbox* out) EXCLUDES(mu_);
 
   // Schedules `fn` after `delay`, guarded so the callback is a no-op once

@@ -189,13 +189,15 @@ void TxnEngine::OnMessage(SiteId from, const Message& msg) {
 
 void TxnEngine::FlushOutbox(Outbox* out) {
   // Group-commit barrier: nothing externally visible — no message, no
-  // client callback — leaves this engine until every WAL record logged
-  // so far is durable. Under per-append sync policies this is a no-op;
-  // under group commit it coalesces all records appended during the
-  // locked section (and by concurrent transactions) into one
-  // write+fsync, performed here, outside the engine lock.
-  if (wal_ != nullptr && !(out->sends.empty() && out->thunks.empty())) {
-    const Status s = wal_->Flush();
+  // client callback — leaves this engine until every WAL record it
+  // depends on is durable (the engine.h durability rule). Under
+  // per-append sync policies this is a no-op; under group commit it
+  // coalesces the records buffered so far, by this section and by
+  // concurrent transactions, into one write+fsync, performed here,
+  // outside the engine lock. A target already durable costs nothing.
+  if (wal_ != nullptr && out->wal_target > 0 &&
+      !(out->sends.empty() && out->thunks.empty())) {
+    const Status s = wal_->FlushTo(out->wal_target);
     if (!s.ok()) {
       POLYV_ERROR << self_ << " WAL flush failed: " << s;
     }
@@ -208,15 +210,28 @@ void TxnEngine::FlushOutbox(Outbox* out) {
   }
   out->sends.clear();
   out->thunks.clear();
+  out->wal_target = 0;
 }
 
-void TxnEngine::Wal_(const WalRecord& record) {
-  if (wal_ != nullptr) {
-    const Status s = wal_->Append(record);
-    if (!s.ok()) {
-      POLYV_ERROR << self_ << " WAL append failed: " << s;
-    }
+uint64_t TxnEngine::Wal_(const WalRecord& record, Outbox* out) {
+  if (wal_ == nullptr) {
+    return 0;
   }
+  const Result<uint64_t> lsn = wal_->Append(record);
+  if (!lsn.ok()) {
+    POLYV_ERROR << self_ << " WAL append failed: " << lsn.status();
+    return 0;
+  }
+  out->DependOn(lsn.value());
+  return lsn.value();
+}
+
+Result<PolyValue> TxnEngine::ReadExposed(const ItemKey& key,
+                                         Outbox* out) const {
+  uint64_t write_lsn = 0;
+  Result<PolyValue> value = items_->Read(key, &write_lsn);
+  out->DependOn(write_lsn);
+  return value;
 }
 
 // Installs a value, keeping the §3.3 dependency table consistent: drop
@@ -228,7 +243,11 @@ void TxnEngine::Wal_(const WalRecord& record) {
 // underlying transaction resolved here, and recording a dependency on an
 // already-resolved transaction would leave a pending-table entry that no
 // future LearnOutcome will clear.
-void TxnEngine::InstallValue(const ItemKey& key, const PolyValue& raw_value) {
+//
+// The item is stamped with the LSN of the install's last record, so a
+// reader that exposes the value also waits for its tracking records.
+void TxnEngine::InstallValue(const ItemKey& key, const PolyValue& raw_value,
+                             Outbox* out) {
   PolyValue value = raw_value;
   for (TxnId dep : raw_value.Dependencies()) {
     const std::optional<bool> known = outcomes_->KnownOutcome(dep);
@@ -241,7 +260,7 @@ void TxnEngine::InstallValue(const ItemKey& key, const PolyValue& raw_value) {
   if (previous.ok()) {
     for (TxnId dep : previous.value().Dependencies()) {
       outcomes_->ForgetDependentItem(dep, key);
-      Wal_(WalRecord::UntrackItem(dep, key));
+      Wal_(WalRecord::UntrackItem(dep, key), out);
     }
     if (was_uncertain && value.is_certain()) {
       ++metrics_.polyvalues_resolved;
@@ -254,11 +273,12 @@ void TxnEngine::InstallValue(const ItemKey& key, const PolyValue& raw_value) {
              deps.empty() ? TxnId() : deps.front(), key);
   }
   items_->Write(key, value);
-  Wal_(WalRecord::Write(key, value));
+  uint64_t lsn = Wal_(WalRecord::Write(key, value), out);
   for (TxnId dep : value.Dependencies()) {
     outcomes_->RecordDependentItem(dep, key);
-    Wal_(WalRecord::TrackItem(dep, key));
+    lsn = Wal_(WalRecord::TrackItem(dep, key), out);
   }
+  items_->SetWriteLsn(key, lsn);
   if (config_.validate_installs && !value.is_certain()) {
     POLYV_CHECK_MSG(value.Validate(),
                     "installed polyvalue violates complete/disjoint: "
@@ -279,7 +299,7 @@ void TxnEngine::HandleLearnedOutcome(TxnId txn, bool committed,
     return;
   }
   Trace(TraceEventType::kOutcomeLearned, txn, committed);
-  Wal_(WalRecord::Outcome(txn, committed));
+  Wal_(WalRecord::Outcome(txn, committed), out);
   for (const ItemKey& key : res.items_to_reduce) {
     const Result<PolyValue> current = items_->Read(key);
     if (!current.ok()) {
@@ -294,7 +314,7 @@ void TxnEngine::HandleLearnedOutcome(TxnId txn, bool committed,
       TraceKey(TraceEventType::kPolyReduce, txn, key, committed);
     }
     items_->Write(key, reduced);
-    Wal_(WalRecord::Write(key, reduced));
+    items_->SetWriteLsn(key, Wal_(WalRecord::Write(key, reduced), out));
     // Remaining dependencies of `reduced` are already tracked (they were
     // dependencies of `current` too).
   }
@@ -304,6 +324,7 @@ void TxnEngine::HandleLearnedOutcome(TxnId txn, bool committed,
     }
     ++metrics_.outcome_notifies;
     Trace(TraceEventType::kOutcomeNotify, txn, committed, site.value());
+    out->DependOn(kWholeLog);
     out->sends.emplace_back(site, MakeOutcomeNotify(txn, committed));
   }
   // A blocked (kBlock) or still-pending participation on this txn can now
@@ -315,6 +336,7 @@ void TxnEngine::HandleLearnedOutcome(TxnId txn, bool committed,
   // Release §3.4 withheld-output subscribers.
   auto subs = outcome_subscribers_.find(txn);
   if (subs != outcome_subscribers_.end()) {
+    out->DependOn(kWholeLog);
     for (OutcomeCallback& callback : subs->second) {
       out->thunks.push_back(
           [callback = std::move(callback), committed] {
@@ -344,6 +366,7 @@ void TxnEngine::HandleOutcomeNotify(SiteId from, const Message& msg,
 // This backstops lost OutcomeNotify pushes and coordinator crashes.
 void TxnEngine::InquiryTick() {
   Outbox out;
+  out.DependOn(kWholeLog);
   {
     MutexLock lock(&mu_);
     if (crashed_) {
@@ -402,19 +425,19 @@ void TxnEngine::EnsureInquiryLoop() {
 
 void TxnEngine::MarkPreparedDurable(
     TxnId txn, SiteId coordinator,
-    const std::map<ItemKey, PolyValue>& writes) {
+    const std::map<ItemKey, PolyValue>& writes, Outbox* out) {
   prepared_[txn] = Prepared{coordinator, writes};
-  Wal_(WalRecord::Prepared(txn, coordinator, writes));
+  Wal_(WalRecord::Prepared(txn, coordinator, writes), out);
 }
 
-void TxnEngine::ClearPreparedDurable(TxnId txn) {
+void TxnEngine::ClearPreparedDurable(TxnId txn, Outbox* out) {
   prepared_.erase(txn);
-  Wal_(WalRecord::PreparedResolved(txn));
+  Wal_(WalRecord::PreparedResolved(txn), out);
 }
 
-void TxnEngine::RecordDecisionDurable(TxnId txn, bool commit) {
+void TxnEngine::RecordDecisionDurable(TxnId txn, bool commit, Outbox* out) {
   decided_[txn] = commit;
-  Wal_(WalRecord::Outcome(txn, commit));
+  Wal_(WalRecord::Outcome(txn, commit), out);
 }
 
 void TxnEngine::Crash() {
@@ -446,6 +469,7 @@ void TxnEngine::Crash() {
 
 void TxnEngine::Recover() {
   Outbox out;
+  out.DependOn(kWholeLog);
   {
     MutexLock lock(&mu_);
     crashed_ = false;
@@ -516,6 +540,7 @@ void TxnEngine::RestoreDurableState(const std::vector<WalRecord>& records) {
 
 void TxnEngine::SubscribeOutcome(TxnId txn, OutcomeCallback callback) {
   Outbox out;
+  out.DependOn(kWholeLog);
   {
     MutexLock lock(&mu_);
     std::optional<bool> known = outcomes_->KnownOutcome(txn);

@@ -120,9 +120,13 @@ bool TxnEngine::TryLocalFastPath(TxnId txn, const TxnSpec& spec,
     });
   };
 
-  // Lock everything (immediate abort on conflict, as in the full path).
+  // Lock everything (immediate abort on conflict, as in the full path):
+  // keys only read are shared, keys written exclusive.
   for (const ItemKey& key : all_keys) {
-    const Status lock_status = items_->Lock(key, txn);
+    const Status lock_status = items_->Lock(
+        key, txn,
+        spec.write_set.count(key) > 0 ? ItemStore::LockMode::kExclusive
+                                      : ItemStore::LockMode::kShared);
     if (!lock_status.ok()) {
       ++metrics_.local_fast_path;
       ++metrics_.txns_aborted;
@@ -141,7 +145,7 @@ bool TxnEngine::TryLocalFastPath(TxnId txn, const TxnSpec& spec,
   std::map<ItemKey, PolyValue> inputs;
   std::map<ItemKey, PolyValue> previous;
   for (const auto& [key, site] : spec.read_set) {
-    Result<PolyValue> value = items_->Read(key);
+    Result<PolyValue> value = ReadExposed(key, out);
     if (!value.ok()) {
       ++metrics_.local_fast_path;
       ++metrics_.txns_aborted;
@@ -203,10 +207,10 @@ bool TxnEngine::TryLocalFastPath(TxnId txn, const TxnSpec& spec,
     return true;
   }
   // Durable decision, then install — mirrors the full path's ordering.
-  RecordDecisionDurable(txn, /*commit=*/true);
+  RecordDecisionDurable(txn, /*commit=*/true, out);
   Trace(TraceEventType::kDecisionCommit, txn);
   for (const auto& [key, value] : result->writes) {
-    InstallValue(key, value);
+    InstallValue(key, value, out);
   }
   ++metrics_.txns_committed;
   r.disposition = TxnDisposition::kCommitted;
@@ -359,7 +363,7 @@ void TxnEngine::ExecuteAndShip(TxnId txn, Coordination* coord, Outbox* out) {
         for (TxnId dep : value.Dependencies()) {
           if (site != self_) {
             outcomes_->RecordDownstreamSite(dep, site);
-            Wal_(WalRecord::TrackSite(dep, site));
+            Wal_(WalRecord::TrackSite(dep, site), out);
           }
         }
         site_writes.emplace(key, value);
@@ -407,7 +411,7 @@ void TxnEngine::Decide(TxnId txn, bool commit, const std::string& reason,
   // on commits never outrunning the log.
   const bool made_writes = coord.phase == CoordPhase::kWaitingReady;
   if (commit || made_writes) {
-    RecordDecisionDurable(txn, commit);
+    RecordDecisionDurable(txn, commit, out);
   }
   if (commit) {
     ++metrics_.txns_committed;
@@ -433,6 +437,8 @@ void TxnEngine::Decide(TxnId txn, bool commit, const std::string& reason,
 
 void TxnEngine::HandleOutcomeRequest(SiteId from, const Message& msg,
                                      Outbox* out) {
+  // An answer reports outcome knowledge: it must not outrun the log.
+  out->DependOn(kWholeLog);
   if (CoordinatorOf(msg.txn) == self_) {
     auto decided = decided_.find(msg.txn);
     if (decided != decided_.end()) {

@@ -34,8 +34,14 @@ void TxnEngine::HandlePrepare(SiteId from, const Message& msg, Outbox* out) {
                  all_keys.end());
 
   for (const ItemKey& key : all_keys) {
+    // Keys this site only reads are shared; keys it writes, exclusive.
+    const ItemStore::LockMode mode =
+        std::find(msg.write_keys.begin(), msg.write_keys.end(), key) ==
+                msg.write_keys.end()
+            ? ItemStore::LockMode::kShared
+            : ItemStore::LockMode::kExclusive;
     if (config_.lock_wait == LockWaitPolicy::kWaitDie) {
-      switch (items_->LockOrQueue(key, txn)) {
+      switch (items_->LockOrQueue(key, txn, mode)) {
         case ItemStore::LockAttempt::kGranted:
           part.locked_keys.push_back(key);
           break;
@@ -53,7 +59,7 @@ void TxnEngine::HandlePrepare(SiteId from, const Message& msg, Outbox* out) {
           return;
       }
     } else {
-      const Status lock_status = items_->Lock(key, txn);
+      const Status lock_status = items_->Lock(key, txn, mode);
       if (!lock_status.ok()) {
         ReleaseLocks(txn, out);
         TraceKey(TraceEventType::kPrepareRefused, txn, key);
@@ -114,7 +120,7 @@ void TxnEngine::FinishPrepareReads(TxnId txn, Participation* part,
 
   std::map<ItemKey, PolyValue> values;
   for (const ItemKey& key : all_keys) {
-    Result<PolyValue> value = items_->Read(key);
+    Result<PolyValue> value = ReadExposed(key, out);
     if (!value.ok()) {
       const bool is_write_only =
           std::find(msg.read_keys.begin(), msg.read_keys.end(), key) ==
@@ -141,7 +147,7 @@ void TxnEngine::FinishPrepareReads(TxnId txn, Participation* part,
     for (TxnId dep : value.value().Dependencies()) {
       if (part->coordinator != self_) {
         outcomes_->RecordDownstreamSite(dep, part->coordinator);
-        Wal_(WalRecord::TrackSite(dep, part->coordinator));
+        Wal_(WalRecord::TrackSite(dep, part->coordinator), out);
       }
     }
     values.emplace(key, std::move(value).value());
@@ -197,7 +203,7 @@ void TxnEngine::HandleWriteReq(SiteId from, const Message& msg,
 
   // Vote READY. The vote is a promise: the writes must survive a crash,
   // so they go to the durable prepared set first (§3.1's wait phase).
-  MarkPreparedDurable(txn, part.coordinator, part.pending_writes);
+  MarkPreparedDurable(txn, part.coordinator, part.pending_writes, out);
   Trace(TraceEventType::kReadySent, txn, false, part.pending_writes.size());
   out->sends.emplace_back(from, MakeReady(txn));
 
@@ -255,10 +261,10 @@ void TxnEngine::FinishParticipation(TxnId txn, Participation* part,
   }
   if (commit) {
     for (const auto& [key, value] : part->pending_writes) {
-      InstallValue(key, value);
+      InstallValue(key, value, out);
     }
   }
-  ClearPreparedDurable(txn);
+  ClearPreparedDurable(txn, out);
   ReleaseLocks(txn, out);
   // Erase before learning: HandleLearnedOutcome finishes wait-state
   // participations, so the map entry must be gone to avoid recursion.
@@ -312,14 +318,16 @@ void TxnEngine::ApplyInDoubtPolicy(TxnId txn, Participation* part,
             prev.ok() ? prev.value() : PolyValue::Certain(Value::Null());
         const PolyValue installed =
             PolyValue::InstallUncertain(txn, computed, previous);
-        InstallValue(key, installed);
+        InstallValue(key, installed, out);
         ++metrics_.polyvalue_installs;
       }
-      ClearPreparedDurable(txn);
+      // Erasing the participation frees `part`: read what the trace
+      // needs first.
+      const size_t installed = part->pending_writes.size();
+      ClearPreparedDurable(txn, out);
       ReleaseLocks(txn, out);
       participations_.erase(txn);
-      Trace(TraceEventType::kUncertainRelease, txn, false,
-            part->pending_writes.size());
+      Trace(TraceEventType::kUncertainRelease, txn, false, installed);
       out->thunks.push_back([this] { EnsureInquiryLoop(); });
       break;
     }

@@ -17,6 +17,8 @@
 // keeps the same invariants in every `ctest` run.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/lockdep.h"
 #include "src/obs/audit.h"
 #include "src/obs/trace.h"
@@ -34,6 +36,11 @@ struct SoakCase {
   bool rolling_outage;
   double drop_probability;
 };
+
+// Without this, gtest prints a SoakCase as its raw bytes, which include
+// the address of `name`; under ASLR that makes the registered CTest name
+// differ from build to build.
+void PrintTo(const SoakCase& c, std::ostream* os) { *os << c.name; }
 
 class ClusterSoakTest : public ::testing::TestWithParam<SoakCase> {};
 

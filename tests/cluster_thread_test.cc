@@ -181,8 +181,8 @@ TEST(ThreadClusterTest, ReadOnlyQueriesInParallel) {
   std::vector<std::thread> clients;
   for (int i = 0; i < 8; ++i) {
     clients.emplace_back([&cluster, &answered] {
-      // Reads take exclusive item locks, so contending queries may abort;
-      // retry as a real client would.
+      // Read-only keys take shared locks, so the queries do not conflict
+      // with each other; a client still retries any abort.
       for (int attempt = 0; attempt < 40; ++attempt) {
         TxnSpec spec;
         spec.Read("x", cluster.site_id(1));
@@ -205,6 +205,96 @@ TEST(ThreadClusterTest, ReadOnlyQueriesInParallel) {
     t.join();
   }
   EXPECT_EQ(answered.load(), 8);
+}
+
+TEST(ThreadClusterTest, ConcurrentAuditsSeeConservedTotals) {
+  // Uneven hops spread a COMPLETE's arrival across sites, which widens
+  // the window in which a badly isolated audit could see half a transfer.
+  FaultPlan faults;
+  faults.SetDelayRange(0.0001, 0.0005);
+  ThreadCluster::Options options;
+  options.site_count = 3;
+  options.engine = ThreadConfig();
+  options.faults = &faults;
+  ThreadCluster cluster(options);
+  static constexpr int kItems = 12;
+  constexpr int64_t kTotal = kItems * 100;
+  auto key = [](int i) { return "acct" + std::to_string(i); };
+  auto owner = [](int i) { return static_cast<size_t>(i % 3); };
+  for (int i = 0; i < kItems; ++i) {
+    cluster.Load(owner(i), key(i), Value::Int(100));
+  }
+
+  constexpr int kTransfersPerClient = 25;
+  std::atomic<int> transfers{0};
+  std::atomic<int> transfer_clients_done{0};
+  std::atomic<int> audits{0};
+  std::atomic<int> bad_totals{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (int n = 0; n < kTransfersPerClient; ++n) {
+        // Items i and i+1 always live on different sites.
+        const int from = (c * 7 + n * 5) % kItems;
+        const int to = (from + 1) % kItems;
+        // A transfer conflicts with every audit; retry a while.
+        for (int attempt = 0; attempt < 50; ++attempt) {
+          TxnSpec spec;
+          spec.ReadWrite(key(from), cluster.site_id(owner(from)));
+          spec.ReadWrite(key(to), cluster.site_id(owner(to)));
+          spec.Logic([key, from, to](const TxnReads& reads) {
+            TxnEffect e;
+            e.writes[key(from)] = Value::Int(reads.IntAt(key(from)) - 3);
+            e.writes[key(to)] = Value::Int(reads.IntAt(key(to)) + 3);
+            return e;
+          });
+          const auto result = cluster.SubmitAndWait(c, std::move(spec));
+          if (result.has_value() && result->committed()) {
+            ++transfers;
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        }
+      }
+      ++transfer_clients_done;
+    });
+  }
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&, c] {
+      for (int n = 0; n < 20 || transfer_clients_done.load() < 2; ++n) {
+        // A whole-database audit: reads every item on every site.
+        TxnSpec spec;
+        for (int i = 0; i < kItems; ++i) {
+          spec.Read(key(i), cluster.site_id(owner(i)));
+        }
+        spec.Logic([key](const TxnReads& reads) {
+          int64_t sum = 0;
+          for (int i = 0; i < kItems; ++i) {
+            sum += reads.IntAt(key(i));
+          }
+          TxnEffect e;
+          e.output = Value::Int(sum);
+          return e;
+        });
+        const auto result = cluster.SubmitAndWait(c, std::move(spec));
+        if (result.has_value() && result->committed()) {
+          ++audits;
+          if (!result->output.is_certain() ||
+              result->output.certain_value() != Value::Int(kTotal)) {
+            ++bad_totals;
+          }
+        }
+        // Leave gaps: back-to-back readers would starve the writers.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  for (auto& t : clients) {
+    t.join();
+  }
+  EXPECT_GT(transfers.load(), 0);
+  EXPECT_GT(audits.load(), 0);
+  EXPECT_EQ(bad_totals.load(), 0);
 }
 
 }  // namespace

@@ -85,6 +85,73 @@ TEST_F(WalGroupCommitTest, MaxBatchTriggersInlineFlush) {
   EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 4u);
 }
 
+TEST_F(WalGroupCommitTest, AppendReturnsConsecutiveLsns) {
+  auto wal = Wal::Open(path_, GroupCommit()).value();
+  EXPECT_EQ(wal->Append(WalRecord::Outcome(TxnId(1), true)).value(), 1u);
+  EXPECT_EQ(wal->Append(WalRecord::Outcome(TxnId(2), true)).value(), 2u);
+  ASSERT_TRUE(wal->Flush().ok());
+  EXPECT_EQ(wal->Append(WalRecord::Outcome(TxnId(3), true)).value(), 3u);
+  EXPECT_EQ(wal->records_appended(), 3u);
+}
+
+TEST_F(WalGroupCommitTest, FlushToLeavesLaterRecordsBuffered) {
+  auto wal = Wal::Open(path_, GroupCommit()).value();
+  const uint64_t first = wal->Append(WalRecord::Outcome(TxnId(1), true))
+                             .value();
+  ASSERT_TRUE(wal->FlushTo(first).ok());
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+  const uint64_t second = wal->Append(WalRecord::Outcome(TxnId(2), true))
+                              .value();
+  // Record 1 is already durable: neither call writes record 2.
+  ASSERT_TRUE(wal->FlushTo(first).ok());
+  ASSERT_TRUE(wal->FlushTo(0).ok());
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+  EXPECT_EQ(wal->records_flushed(), 1u);
+  EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 1u);
+  ASSERT_TRUE(wal->FlushTo(second).ok());
+  EXPECT_EQ(wal->batches_flushed(), 2u);
+  EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 2u);
+}
+
+TEST_F(WalGroupCommitTest, FlushToCarriesTheWholeBufferInOneBatch) {
+  auto wal = Wal::Open(path_, GroupCommit()).value();
+  const uint64_t first = wal->Append(WalRecord::Outcome(TxnId(1), true))
+                             .value();
+  ASSERT_TRUE(wal->Append(WalRecord::Outcome(TxnId(2), true)).ok());
+  // The flush needed for record 1 costs one fsync either way, so it takes
+  // record 2 along: the durable log stays a prefix of the appended one.
+  ASSERT_TRUE(wal->FlushTo(first).ok());
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+  EXPECT_EQ(wal->records_flushed(), 2u);
+  EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 2u);
+}
+
+TEST_F(WalGroupCommitTest, FlushToClampsToWhatWasAppended) {
+  auto wal = Wal::Open(path_, GroupCommit()).value();
+  ASSERT_TRUE(wal->FlushTo(5).ok());  // nothing appended: nothing to do
+  EXPECT_EQ(wal->batches_flushed(), 0u);
+  ASSERT_TRUE(wal->Append(WalRecord::Outcome(TxnId(1), true)).ok());
+  ASSERT_TRUE(wal->FlushTo(1000).ok());
+  ASSERT_TRUE(wal->FlushTo(1000).ok());  // returns: all of it is durable
+  EXPECT_EQ(wal->batches_flushed(), 1u);
+  EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 1u);
+}
+
+TEST_F(WalGroupCommitTest, FlushToIsANoOpUnderPerAppendPolicies) {
+  for (const bool sync_every_append : {false, true}) {
+    std::remove(path_.c_str());
+    auto wal = Wal::Open(path_, sync_every_append).value();
+    EXPECT_EQ(wal->Append(WalRecord::Outcome(TxnId(1), true)).value(), 1u);
+    EXPECT_EQ(wal->Append(WalRecord::Outcome(TxnId(2), true)).value(), 2u);
+    // Each append already wrote its own frame.
+    EXPECT_EQ(wal->batches_flushed(), 2u);
+    ASSERT_TRUE(wal->FlushTo(2).ok());
+    ASSERT_TRUE(wal->Flush().ok());
+    EXPECT_EQ(wal->batches_flushed(), 2u);
+    EXPECT_EQ(Wal::ReplayFile(path_).value().size(), 2u);
+  }
+}
+
 TEST_F(WalGroupCommitTest, ConcurrentAppendersShareBatches) {
   // A small linger window makes leaders wait for joiners, so coalescing
   // happens even if the scheduler serialises the threads.

@@ -1,10 +1,8 @@
 // Engine throughput: how many transactions per second of real CPU time
-// the stack sustains, on the deterministic runtime (protocol cost alone,
-// no network) and the threaded in-memory runtime (with real
-// synchronisation). Not a paper figure — a regression baseline for the
-// implementation itself.
-#include <sys/stat.h>
-
+// the stack sustains on the deterministic runtime (protocol cost alone,
+// no network), with and without a trace sink. Not a paper figure — a
+// regression baseline for the implementation itself. Wall-clock numbers
+// for the threaded and TCP runtimes come from perfbench/.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,76 +60,6 @@ double SimThroughput(size_t sites, int txns, TraceSink* trace = nullptr,
   return committed / elapsed;
 }
 
-// One cell of the durability/batching matrix on the threaded runtime.
-struct ThreadedConfig {
-  // Empty: no WAL at all (the historical bench rows). Otherwise each site
-  // logs to <wal_dir>/site<i>.wal with the policy below.
-  std::string wal_dir;
-  Wal::SyncPolicy sync_policy = Wal::SyncPolicy::kEveryAppend;
-  bool batching = false;
-  size_t clients = 4;
-};
-
-double ThreadedThroughput(size_t sites, int txns,
-                          const ThreadedConfig& config = {}) {
-  ThreadCluster::Options options;
-  options.site_count = sites;
-  options.engine.prepare_timeout = 2.0;
-  options.engine.ready_timeout = 2.0;
-  if (!config.wal_dir.empty()) {
-    options.wal_dir = config.wal_dir;
-    options.wal.sync_policy = config.sync_policy;
-  }
-  options.enable_batching = config.batching;
-  // A tight flush window: coalescing is worth at most this much latency
-  // per hop, and on the in-memory transport latency is the whole game.
-  options.batching.window_seconds = 0.00005;
-  ThreadCluster cluster(options);
-  const size_t client_count = config.clients;
-  for (size_t c = 0; c < client_count; ++c) {
-    const size_t target = c % sites;
-    cluster.Load(target,
-                 "k" + std::to_string(target) + "/" + std::to_string(c),
-                 Value::Int(0));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<int> committed{0};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < client_count; ++c) {
-    clients.emplace_back([&, c] {
-      for (int i = static_cast<int>(c); i < txns;
-           i += static_cast<int>(client_count)) {
-        // Each client owns a disjoint item: no conflicts, pure pipeline.
-        const size_t target = c % sites;
-        const auto result = cluster.SubmitAndWait(
-            (target + 1) % sites,
-            Bump("k" + std::to_string(target) + "/" + std::to_string(c),
-                 cluster.site_id(target)));
-        if (result.has_value() && result->committed()) {
-          ++committed;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) {
-    t.join();
-  }
-  const double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  return committed / elapsed;
-}
-
-// Fresh WAL directory per matrix cell so no run replays another's log.
-std::string FreshWalDir(const char* name) {
-  const std::string dir = std::string("/tmp/polyv_bench_") + name;
-  mkdir(dir.c_str(), 0755);
-  for (int i = 0; i < 8; ++i) {
-    std::remove((dir + "/site" + std::to_string(i) + ".wal").c_str());
-  }
-  return dir;
-}
-
 }  // namespace
 }  // namespace polyvalue
 
@@ -152,44 +80,6 @@ int main() {
   const double sim2_traced = SimThroughput(2, 2000, &counting);
   std::printf("%-34s %12.0f\n", "sim runtime, 2 sites, traced sink",
               sim2_traced);
-  const double thr2 = ThreadedThroughput(2, 400);
-  const double thr4 = ThreadedThroughput(4, 400);
-  std::printf("%-34s %12.0f\n", "threaded mem runtime, 2 sites x4 cli", thr2);
-  std::printf("%-34s %12.0f\n", "threaded mem runtime, 4 sites x4 cli", thr4);
-  std::printf("\n(threaded numbers include real thread handoffs per "
-              "message; the mem transport\ndelivers through per-site "
-              "dispatcher threads.)\n");
-
-  // Durability/batching matrix: same threaded workload, durable WAL on
-  // every site, group commit and message batching toggled independently.
-  // The fsync-per-record row is the baseline the optimisations must beat.
-  std::printf("\nDurable threaded runtime, 2 sites x16 cli "
-              "(group commit x batching)\n\n");
-  std::printf("%-34s %12s\n", "configuration", "txns/s");
-  std::printf("%.*s\n", 48, "------------------------------------------------");
-  const int kDurableTxns = 480;
-  ThreadedConfig cell;
-  cell.clients = 16;
-  cell.sync_policy = Wal::SyncPolicy::kEveryAppend;
-  cell.batching = false;
-  cell.wal_dir = FreshWalDir("sync_plain");
-  const double dur_sync_plain = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "fsync/record, unbatched", dur_sync_plain);
-  cell.batching = true;
-  cell.wal_dir = FreshWalDir("sync_batch");
-  const double dur_sync_batch = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "fsync/record, batched", dur_sync_batch);
-  cell.sync_policy = Wal::SyncPolicy::kGroupCommit;
-  cell.batching = false;
-  cell.wal_dir = FreshWalDir("group_plain");
-  const double dur_group_plain = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "group commit, unbatched", dur_group_plain);
-  cell.batching = true;
-  cell.wal_dir = FreshWalDir("group_batch");
-  const double dur_group_batch = ThreadedThroughput(2, kDurableTxns, cell);
-  std::printf("%-34s %12.0f\n", "group commit, batched", dur_group_batch);
-  std::printf("\ngroup commit + batching vs fsync/record unbatched: "
-              "%.2fx\n", dur_group_batch / dur_sync_plain);
   std::printf("\ntracing: %llu events through the sink; traced/untraced "
               "throughput ratio %.2f\n",
               static_cast<unsigned long long>(counting.count()),
@@ -198,13 +88,6 @@ int main() {
   registry.Gauge("bench.sim_2site_txns_per_sec", sim2);
   registry.Gauge("bench.sim_4site_txns_per_sec", sim4);
   registry.Gauge("bench.sim_2site_traced_txns_per_sec", sim2_traced);
-  registry.Gauge("bench.threaded_2site_txns_per_sec", thr2);
-  registry.Gauge("bench.threaded_4site_txns_per_sec", thr4);
-  registry.Gauge("bench.durable_sync_plain_txns_per_sec", dur_sync_plain);
-  registry.Gauge("bench.durable_sync_batched_txns_per_sec", dur_sync_batch);
-  registry.Gauge("bench.durable_group_plain_txns_per_sec", dur_group_plain);
-  registry.Gauge("bench.durable_group_batched_txns_per_sec",
-                 dur_group_batch);
   registry.SetCounter("bench.trace_events_emitted", counting.count());
   if (const char* path = std::getenv("POLYV_METRICS_JSON")) {
     const Status status = registry.WriteJsonFile(path);

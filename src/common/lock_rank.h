@@ -43,8 +43,6 @@
 //   kClientWait        cluster SubmitAndWait's completion latch; held
 //                      across Submit(), so it must precede everything
 //                      below the serving layer.
-//   kBatching          BatchingTransport queue; its flusher calls into
-//                      the underlying transport.
 //   kTransport         mem/tcp transport registries; Send() locks the
 //                      destination mailbox/endpoint and consults the
 //                      fault plan while holding it.
@@ -76,7 +74,6 @@
   X(kSvcAdmission, 10)          \
   X(kSvcRetryBudget, 20)        \
   X(kClientWait, 30)            \
-  X(kBatching, 40)              \
   X(kTransport, 50)             \
   X(kTransportEndpoint, 60)     \
   X(kFaultPlan, 70)             \
@@ -142,8 +139,7 @@ inline LockRankBoundary g_kTransportStats ACQUIRED_BEFORE(g_kEngine);
 inline LockRankBoundary g_kFaultPlan ACQUIRED_BEFORE(g_kTransportStats);
 inline LockRankBoundary g_kTransportEndpoint ACQUIRED_BEFORE(g_kFaultPlan);
 inline LockRankBoundary g_kTransport ACQUIRED_BEFORE(g_kTransportEndpoint);
-inline LockRankBoundary g_kBatching ACQUIRED_BEFORE(g_kTransport);
-inline LockRankBoundary g_kClientWait ACQUIRED_BEFORE(g_kBatching);
+inline LockRankBoundary g_kClientWait ACQUIRED_BEFORE(g_kTransport);
 inline LockRankBoundary g_kSvcRetryBudget ACQUIRED_BEFORE(g_kClientWait);
 inline LockRankBoundary g_kSvcAdmission ACQUIRED_BEFORE(g_kSvcRetryBudget);
 

@@ -91,63 +91,6 @@ double TimeWeightedStat::average() const {
   return weighted_sum_ / span;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      buckets_(buckets + 2, 0) {
-  POLYV_CHECK_LT(lo, hi);
-  POLYV_CHECK_GT(buckets, 0u);
-}
-
-void Histogram::Add(double x) {
-  ++count_;
-  if (x < lo_) {
-    ++buckets_.front();
-  } else if (x >= hi_) {
-    ++buckets_.back();
-  } else {
-    const size_t idx = 1 + static_cast<size_t>((x - lo_) / width_);
-    ++buckets_[std::min(idx, buckets_.size() - 2)];
-  }
-}
-
-void Histogram::Merge(const Histogram& other) {
-  POLYV_CHECK(lo_ == other.lo_ && hi_ == other.hi_ &&
-              buckets_.size() == other.buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-}
-
-double Histogram::Percentile(double p) const {
-  POLYV_CHECK_GE(p, 0.0);
-  POLYV_CHECK_LE(p, 100.0);
-  if (count_ == 0) {
-    return 0.0;
-  }
-  const double target = p / 100.0 * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    cumulative += static_cast<double>(buckets_[i]);
-    if (cumulative >= target) {
-      if (i == 0) {
-        return lo_;
-      }
-      if (i == buckets_.size() - 1) {
-        return hi_;
-      }
-      return lo_ + (static_cast<double>(i - 1) + 0.5) * width_;
-    }
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream oss;
-  oss << "hist[" << lo_ << "," << hi_ << ") n=" << count_;
-  return oss.str();
-}
-
 LogHistogram::LogHistogram(Options options)
     : options_(options),
       inv_log_growth_(1.0 / std::log(options.growth)),

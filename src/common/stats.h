@@ -57,38 +57,9 @@ class TimeWeightedStat {
   double weighted_sum_ = 0.0;
 };
 
-// Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  // Adds `other`'s counts into this histogram; the shapes (lo, hi,
-  // bucket count) must match.
-  void Merge(const Histogram& other);
-  uint64_t count() const { return count_; }
-  double Percentile(double p) const;  // p in [0, 100]
-  std::string ToString() const;
-
-  // Bucket introspection (metrics export).
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  size_t bucket_count() const { return buckets_.size() - 2; }
-  uint64_t underflow() const { return buckets_.front(); }
-  uint64_t overflow() const { return buckets_.back(); }
-  uint64_t bucket(size_t i) const { return buckets_[i + 1]; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> buckets_;  // [underflow, b0..bn-1, overflow]
-  uint64_t count_ = 0;
-};
-
 // Log-bucketed histogram for latency distributions: bucket i spans
 // [lo * growth^i, lo * growth^(i+1)), so relative resolution is constant
-// across six decades instead of the linear Histogram's fixed width.
+// across six decades.
 //
 // Recording is lock-free (relaxed atomic increments) so concurrent
 // request-completion paths — the serving front door's latency recorder —

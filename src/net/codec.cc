@@ -1,7 +1,5 @@
 #include "src/net/codec.h"
 
-#include "src/common/crc32.h"
-
 namespace polyvalue {
 
 namespace {
@@ -10,7 +8,6 @@ namespace {
 constexpr uint64_t kMaxTermsPerCondition = 1 << 16;
 constexpr uint64_t kMaxLiteralsPerTerm = 1 << 12;
 constexpr uint64_t kMaxPairsPerPolyValue = 1 << 16;
-constexpr uint64_t kMaxPacketsPerBatch = 1 << 16;
 }  // namespace
 
 void EncodeValue(const Value& v, ByteWriter* w) {
@@ -117,63 +114,6 @@ Result<PolyValue> DecodePolyValue(ByteReader* r) {
     pairs.push_back({std::move(v), std::move(c)});
   }
   return PolyValue::Of(std::move(pairs));
-}
-
-bool IsPacketBatch(const std::string& payload) {
-  return payload.size() >= 3 &&
-         static_cast<uint8_t>(payload[0]) == kPacketBatchMagic0 &&
-         static_cast<uint8_t>(payload[1]) == kPacketBatchMagic1 &&
-         static_cast<uint8_t>(payload[2]) == kPacketBatchVersion;
-}
-
-std::string EncodePacketBatch(const std::vector<Packet>& packets) {
-  ByteWriter tail;
-  tail.PutVarint(packets.size());
-  for (const Packet& packet : packets) {
-    tail.PutVarint(packet.from.value());
-    tail.PutVarint(packet.to.value());
-    tail.PutString(packet.payload);
-  }
-  ByteWriter frame;
-  frame.PutU8(kPacketBatchMagic0);
-  frame.PutU8(kPacketBatchMagic1);
-  frame.PutU8(kPacketBatchVersion);
-  frame.PutFixed32(Crc32(tail.buffer()));
-  frame.PutRaw(tail.buffer().data(), tail.size());
-  return frame.Take();
-}
-
-Result<std::vector<Packet>> DecodePacketBatch(const std::string& payload) {
-  if (!IsPacketBatch(payload)) {
-    return DataLossError("not a packet batch frame");
-  }
-  ByteReader r(payload);
-  (void)r.GetU8();
-  (void)r.GetU8();
-  (void)r.GetU8();
-  POLYV_ASSIGN_OR_RETURN(uint32_t crc, r.GetFixed32());
-  if (Crc32(payload.data() + 7, payload.size() - 7) != crc) {
-    return DataLossError("packet batch CRC mismatch");
-  }
-  POLYV_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
-  if (count > kMaxPacketsPerBatch) {
-    return DataLossError("packet batch count too large");
-  }
-  std::vector<Packet> packets;
-  packets.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Packet packet;
-    POLYV_ASSIGN_OR_RETURN(uint64_t from, r.GetVarint());
-    POLYV_ASSIGN_OR_RETURN(uint64_t to, r.GetVarint());
-    packet.from = SiteId(from);
-    packet.to = SiteId(to);
-    POLYV_ASSIGN_OR_RETURN(packet.payload, r.GetString());
-    packets.push_back(std::move(packet));
-  }
-  if (!r.AtEnd()) {
-    return DataLossError("trailing bytes in packet batch frame");
-  }
-  return packets;
 }
 
 }  // namespace polyvalue

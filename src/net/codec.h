@@ -6,12 +6,8 @@
 #ifndef SRC_NET_CODEC_H_
 #define SRC_NET_CODEC_H_
 
-#include <string>
-#include <vector>
-
 #include "src/common/status.h"
 #include "src/condition/condition.h"
-#include "src/net/transport.h"
 #include "src/net/wire.h"
 #include "src/poly/polyvalue.h"
 #include "src/value/value.h"
@@ -26,25 +22,6 @@ Result<Condition> DecodeCondition(ByteReader* r);
 
 void EncodePolyValue(const PolyValue& pv, ByteWriter* w);
 Result<PolyValue> DecodePolyValue(ByteReader* r);
-
-// --- multi-packet wire frame (message batching) ---
-//
-// Layout: magic0 magic1 version [u32 crc32(tail)] tail, where
-// tail = varint(count) then per packet: varint(from) varint(to)
-// length-prefixed payload. The CRC makes any truncation or bit flip
-// after the magic a deterministic Status error, never UB and never a
-// half-decoded batch.
-
-// True when `payload` starts with the batch magic (cheap dispatch test;
-// a plain protocol message can never match).
-bool IsPacketBatch(const std::string& payload);
-
-// Encodes `packets` into one batch frame payload.
-std::string EncodePacketBatch(const std::vector<Packet>& packets);
-
-// Decodes a batch frame; fails with DATA_LOSS on bad magic, bad CRC,
-// truncation, or trailing bytes.
-Result<std::vector<Packet>> DecodePacketBatch(const std::string& payload);
 
 }  // namespace polyvalue
 

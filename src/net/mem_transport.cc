@@ -1,7 +1,6 @@
 #include "src/net/mem_transport.h"
 
 #include "src/common/strings.h"
-#include "src/net/codec.h"
 
 namespace polyvalue {
 
@@ -94,53 +93,6 @@ Status MemTransport::Send(Packet packet) {
   return OkStatus();
 }
 
-Status MemTransport::SendBatch(std::vector<Packet> packets) {
-  if (packets.empty()) {
-    return OkStatus();
-  }
-  if (packets.size() == 1) {
-    return Send(std::move(packets.front()));
-  }
-  // One envelope frame for the whole batch: one fault-plan decision (a
-  // dropped frame drops every packet it carries, as a real wire frame
-  // would), one delivery deadline, one dispatcher wakeup.
-  Packet envelope;
-  envelope.from = packets.front().from;
-  envelope.to = packets.front().to;
-  envelope.payload = EncodePacketBatch(packets);
-  std::chrono::microseconds delay(0);
-  {
-    MutexLock lock(&mu_);
-    packets_sent_ += packets.size();
-    ++batched_frames_;
-    if (mailboxes_.find(envelope.from) == mailboxes_.end()) {
-      return InvalidArgumentError(
-          StrCat("sender ", envelope.from, " not registered"));
-    }
-    if (faults_ != nullptr) {
-      if (!faults_->ShouldDeliver(envelope.from, envelope.to, &send_rng_)) {
-        return OkStatus();  // dropped
-      }
-      delay = std::chrono::microseconds(
-          static_cast<int64_t>(faults_->SampleDelay(&send_rng_) * 1e6));
-    }
-  }
-  MutexLock outer(&mu_);
-  auto it = mailboxes_.find(envelope.to);
-  if (it == mailboxes_.end()) {
-    return OkStatus();  // receiver does not exist: drop
-  }
-  Mailbox* box = it->second.get();
-  {
-    MutexLock lock(&box->mu);
-    box->queue.push(
-        {std::chrono::steady_clock::now() + delay, next_seq_++,
-         std::move(envelope)});
-  }
-  box->cv.NotifyOne();
-  return OkStatus();
-}
-
 void MemTransport::DispatchLoop(Mailbox* box) {
   box->mu.Lock();
   for (;;) {
@@ -166,20 +118,8 @@ void MemTransport::DispatchLoop(Mailbox* box) {
     }
     box->idle = false;
     box->mu.Unlock();
-    if (IsPacketBatch(packet.payload)) {
-      // Native unpack: the handler sees single protocol payloads.
-      Result<std::vector<Packet>> unpacked =
-          DecodePacketBatch(packet.payload);
-      if (unpacked.ok()) {
-        const size_t count = unpacked.value().size();
-        for (Packet& p : unpacked.value()) {
-          box->handler(std::move(p));
-        }
-        MutexLock stats(&stats_mu_);
-        packets_delivered_ += count;
-      }
-    } else {
-      box->handler(std::move(packet));
+    box->handler(std::move(packet));
+    {
       MutexLock stats(&stats_mu_);
       ++packets_delivered_;
     }
@@ -223,11 +163,6 @@ uint64_t MemTransport::packets_sent() const {
 uint64_t MemTransport::packets_delivered() const {
   MutexLock lock(&stats_mu_);
   return packets_delivered_;
-}
-
-uint64_t MemTransport::batched_frames() const {
-  MutexLock lock(&mu_);
-  return batched_frames_;
 }
 
 }  // namespace polyvalue

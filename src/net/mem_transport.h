@@ -33,18 +33,11 @@ class MemTransport : public Transport {
   Status Unregister(SiteId site) override;
   Status Send(Packet packet) override;
 
-  // Native batching: carries same-link packets as ONE queued frame (one
-  // fault-plan decision, one dispatcher wakeup); the dispatcher unpacks
-  // the frame and invokes the handler once per inner packet.
-  Status SendBatch(std::vector<Packet> packets) override;
-
   // Blocks until every queued packet has been delivered or dropped.
   void Flush();
 
   uint64_t packets_sent() const;
   uint64_t packets_delivered() const;
-  // Frames enqueued through SendBatch carrying more than one packet.
-  uint64_t batched_frames() const;
 
  private:
   using SteadyTime = std::chrono::steady_clock::time_point;
@@ -86,7 +79,6 @@ class MemTransport : public Transport {
       GUARDED_BY(mu_);
   uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   uint64_t packets_sent_ GUARDED_BY(mu_) = 0;
-  uint64_t batched_frames_ GUARDED_BY(mu_) = 0;
   mutable Mutex stats_mu_ POLYV_MUTEX_RANK(kTransportStats);
   uint64_t packets_delivered_ GUARDED_BY(stats_mu_) = 0;
 };

@@ -4,7 +4,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
-#include "src/net/codec.h"
 
 namespace polyvalue {
 
@@ -71,57 +70,6 @@ Status SimTransport::Send(Packet packet) {
     ++packets_delivered_;
     TracePacket(TraceEventType::kMsgDelivered, packet);
     it->second(std::move(packet));
-  });
-  return OkStatus();
-}
-
-Status SimTransport::SendBatch(std::vector<Packet> packets) {
-  if (packets.empty()) {
-    return OkStatus();
-  }
-  if (packets.size() == 1) {
-    return Send(std::move(packets[0]));
-  }
-  if (filter_ != nullptr) {
-    // Filters are per-message drop rules; keep their exact semantics.
-    for (Packet& packet : packets) {
-      POLYV_RETURN_IF_ERROR(Send(std::move(packet)));
-    }
-    return OkStatus();
-  }
-  const SiteId from = packets.front().from;
-  const SiteId to = packets.front().to;
-  if (handlers_.find(from) == handlers_.end()) {
-    return InvalidArgumentError(StrCat("sender ", from, " not registered"));
-  }
-  const size_t count = packets.size();
-  Packet envelope{from, to, EncodePacketBatch(packets)};
-  packets_sent_ += count;
-  bytes_sent_ += envelope.payload.size();
-  ++batched_frames_;
-  if (!faults_->ShouldDeliver(from, to, rng_)) {
-    POLYV_TRACE << "drop batch " << from << "->" << to;
-    TracePacket(TraceEventType::kMsgDropped, envelope);
-    return OkStatus();
-  }
-  const double delay = faults_->SampleDelay(from, to, rng_);
-  sim_->After(delay,
-              [this, count, packets = std::move(packets),
-               envelope = std::move(envelope)]() mutable {
-    if (faults_->IsSiteDown(envelope.to)) {
-      TracePacket(TraceEventType::kMsgDropped, envelope);
-      return;
-    }
-    auto it = handlers_.find(envelope.to);
-    if (it == handlers_.end()) {
-      TracePacket(TraceEventType::kMsgDropped, envelope);
-      return;
-    }
-    packets_delivered_ += count;
-    for (Packet& packet : packets) {
-      TracePacket(TraceEventType::kMsgDelivered, packet);
-      it->second(std::move(packet));
-    }
   });
   return OkStatus();
 }

@@ -26,15 +26,6 @@ class SimTransport : public Transport {
   Status Unregister(SiteId site) override;
   Status Send(Packet packet) override;
 
-  // Native batching: the whole frame gets ONE fault decision and ONE
-  // sampled delay, then unpacks into in-order handler invocations at
-  // delivery — deterministic, and consuming fewer rng draws than N
-  // separate Sends (which is the point: batching must change the event
-  // schedule only in the ways it says it does). Falls back to per-packet
-  // Send when a filter is installed, so protocol-aware drop rules keep
-  // their exact per-message semantics.
-  Status SendBatch(std::vector<Packet> packets) override;
-
   // Optional packet filter consulted (after the FaultPlan) at send time;
   // returning false drops the packet. Enables protocol-aware fault
   // injection — e.g. stranding specific transactions by dropping their
@@ -50,8 +41,6 @@ class SimTransport : public Transport {
   uint64_t packets_delivered() const { return packets_delivered_; }
   uint64_t packets_dropped() const { return packets_sent_ - packets_delivered_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Frames sent through SendBatch carrying more than one packet.
-  uint64_t batched_frames() const { return batched_frames_; }
 
  private:
   Simulator* sim_;
@@ -65,7 +54,6 @@ class SimTransport : public Transport {
   uint64_t packets_sent_ = 0;
   uint64_t packets_delivered_ = 0;
   uint64_t bytes_sent_ = 0;
-  uint64_t batched_frames_ = 0;
 };
 
 }  // namespace polyvalue

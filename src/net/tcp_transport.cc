@@ -18,7 +18,6 @@
 #include "src/common/logging.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/strings.h"
-#include "src/net/codec.h"
 #include "src/net/wire.h"
 
 namespace polyvalue {
@@ -186,38 +185,6 @@ class TcpTransport::Impl {
     return OkStatus();
   }
 
-  Status SendBatch(std::vector<Packet> packets) {
-    if (packets.empty()) {
-      return OkStatus();
-    }
-    if (packets.size() == 1) {
-      return Send(std::move(packets.front()));
-    }
-    Packet envelope;
-    envelope.from = packets.front().from;
-    envelope.to = packets.front().to;
-    const size_t count = packets.size();
-    envelope.payload = EncodePacketBatch(packets);
-    Endpoint* from = nullptr;
-    {
-      MutexLock lock(&mu_);
-      auto it = endpoints_.find(envelope.from);
-      if (it == endpoints_.end()) {
-        return InvalidArgumentError(
-            StrCat("sender ", envelope.from, " not registered"));
-      }
-      from = it->second.get();
-      packets_sent_ += count;
-      ++batched_frames_;
-    }
-    {
-      MutexLock lock(&from->mu);
-      from->pending_sends.push_back(std::move(envelope));
-    }
-    Wake(from);
-    return OkStatus();
-  }
-
   uint16_t PortOf(SiteId site) const {
     MutexLock lock(&mu_);
     auto it = ports_.find(site);
@@ -231,10 +198,6 @@ class TcpTransport::Impl {
   uint64_t packets_delivered() const {
     MutexLock lock(&mu_);
     return packets_delivered_;
-  }
-  uint64_t batched_frames() const {
-    MutexLock lock(&mu_);
-    return batched_frames_;
   }
 
  private:
@@ -438,26 +401,11 @@ class TcpTransport::Impl {
         packet.to = SiteId(to.value());
         packet.payload.assign(conn->inbox.data() + 4 + (body_len - body.remaining()),
                               body.remaining());
-        if (IsPacketBatch(packet.payload)) {
-          // Native unpack: deliver each carried packet individually.
-          Result<std::vector<Packet>> unpacked =
-              DecodePacketBatch(packet.payload);
-          if (unpacked.ok()) {
-            {
-              MutexLock lock(&mu_);
-              packets_delivered_ += unpacked.value().size();
-            }
-            for (Packet& p : unpacked.value()) {
-              ep->handler(std::move(p));
-            }
-          }
-        } else {
-          {
-            MutexLock lock(&mu_);
-            ++packets_delivered_;
-          }
-          ep->handler(std::move(packet));
+        {
+          MutexLock lock(&mu_);
+          ++packets_delivered_;
         }
+        ep->handler(std::move(packet));
       }
       conn->inbox.erase(0, 4u + body_len);
     }
@@ -533,7 +481,6 @@ class TcpTransport::Impl {
   std::unordered_map<SiteId, uint16_t> ports_ GUARDED_BY(mu_);
   uint64_t packets_sent_ GUARDED_BY(mu_) = 0;
   uint64_t packets_delivered_ GUARDED_BY(mu_) = 0;
-  uint64_t batched_frames_ GUARDED_BY(mu_) = 0;
 };
 
 TcpTransport::TcpTransport() : impl_(std::make_unique<Impl>()) {}
@@ -548,9 +495,6 @@ Status TcpTransport::Unregister(SiteId site) {
 Status TcpTransport::Send(Packet packet) {
   return impl_->Send(std::move(packet));
 }
-Status TcpTransport::SendBatch(std::vector<Packet> packets) {
-  return impl_->SendBatch(std::move(packets));
-}
 uint16_t TcpTransport::PortOf(SiteId site) const {
   return impl_->PortOf(site);
 }
@@ -558,8 +502,4 @@ uint64_t TcpTransport::packets_sent() const { return impl_->packets_sent(); }
 uint64_t TcpTransport::packets_delivered() const {
   return impl_->packets_delivered();
 }
-uint64_t TcpTransport::batched_frames() const {
-  return impl_->batched_frames();
-}
-
 }  // namespace polyvalue

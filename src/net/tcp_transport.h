@@ -37,18 +37,11 @@ class TcpTransport : public Transport {
   Status Unregister(SiteId site) override;
   Status Send(Packet packet) override;
 
-  // Native batching: same-link packets ride one TCP frame (one
-  // length-prefixed write instead of N); the receiving endpoint unpacks
-  // the multi-packet payload before invoking the handler.
-  Status SendBatch(std::vector<Packet> packets) override;
-
   // The loopback port a site listens on (0 if unknown). Exposed for tests.
   uint16_t PortOf(SiteId site) const;
 
   uint64_t packets_sent() const;
   uint64_t packets_delivered() const;
-  // Frames sent through SendBatch carrying more than one packet.
-  uint64_t batched_frames() const;
 
  private:
   struct Endpoint;

@@ -6,13 +6,6 @@
 
 namespace polyvalue {
 
-Status Transport::SendBatch(std::vector<Packet> packets) {
-  for (Packet& packet : packets) {
-    POLYV_RETURN_IF_ERROR(Send(std::move(packet)));
-  }
-  return OkStatus();
-}
-
 std::pair<uint64_t, uint64_t> FaultPlan::LinkKey(SiteId a, SiteId b) {
   uint64_t x = a.value();
   uint64_t y = b.value();

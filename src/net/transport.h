@@ -52,12 +52,6 @@ class Transport {
   // outcome (that is what the protocol tolerates), so Send only fails on
   // caller errors (unregistered sender).
   virtual Status Send(Packet packet) = 0;
-
-  // Queues several packets bound for the same (from, to) link. A
-  // transport with native batching support carries them as ONE wire
-  // frame (one fault-plan decision, one transport handoff); the default
-  // implementation just sends them individually.
-  virtual Status SendBatch(std::vector<Packet> packets);
 };
 
 // Mutable failure schedule consulted on every delivery. Thread-safe.

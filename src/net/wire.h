@@ -16,16 +16,6 @@
 
 namespace polyvalue {
 
-// Multi-packet wire frame ("packet batch") magic. A batch frame starts
-// with these two bytes followed by a format version; the first byte is
-// far outside the protocol-message version range (messages start with
-// kProtocolVersion == 1), so a batch frame can never be mistaken for a
-// single encoded message, and vice versa. Encoding/decoding lives in
-// src/net/codec.h (EncodePacketBatch / DecodePacketBatch).
-inline constexpr uint8_t kPacketBatchMagic0 = 0xB7;
-inline constexpr uint8_t kPacketBatchMagic1 = 0x50;  // 'P'
-inline constexpr uint8_t kPacketBatchVersion = 1;
-
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }

@@ -48,23 +48,13 @@ RunningStat* MetricsRegistry::Stat(const std::string& name) {
   return &stats_[name];
 }
 
-Histogram* MetricsRegistry::Hist(const std::string& name, double lo,
-                                 double hi, size_t buckets) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, Histogram(lo, hi, buckets)).first;
-  }
-  return &it->second;
-}
-
 bool MetricsRegistry::Has(const std::string& name) const {
   return counters_.count(name) > 0 || gauges_.count(name) > 0 ||
-         stats_.count(name) > 0 || histograms_.count(name) > 0;
+         stats_.count(name) > 0;
 }
 
 size_t MetricsRegistry::size() const {
-  return counters_.size() + gauges_.size() + stats_.size() +
-         histograms_.size();
+  return counters_.size() + gauges_.size() + stats_.size();
 }
 
 void MetricsRegistry::Merge(const MetricsRegistry& other) {
@@ -76,14 +66,6 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   }
   for (const auto& [name, stat] : other.stats_) {
     stats_[name].Merge(stat);
-  }
-  for (const auto& [name, hist] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, hist);
-    } else {
-      it->second.Merge(hist);
-    }
   }
 }
 
@@ -152,23 +134,6 @@ std::string MetricsRegistry::ToJson() const {
     out << ", \"sum\": ";
     AppendDouble(&out, stat.sum());
     out << "}";
-    first = false;
-  }
-  out << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    out << (first ? "" : ", ") << "\"" << EscapeJson(name)
-        << "\": {\"lo\": ";
-    AppendDouble(&out, hist.lo());
-    out << ", \"hi\": ";
-    AppendDouble(&out, hist.hi());
-    out << ", \"count\": " << hist.count()
-        << ", \"underflow\": " << hist.underflow()
-        << ", \"overflow\": " << hist.overflow() << ", \"buckets\": [";
-    for (size_t i = 0; i < hist.bucket_count(); ++i) {
-      out << (i == 0 ? "" : ", ") << hist.bucket(i);
-    }
-    out << "]}";
     first = false;
   }
   out << "}}";

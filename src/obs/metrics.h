@@ -1,11 +1,11 @@
 // Named metrics registry with JSON export.
 //
 // The engine's EngineMetrics struct is a fixed set of totals; the
-// registry is the generic layer above it: counters, gauges, running
-// stats and histograms keyed by name, mergeable across sites for
-// cluster-wide aggregation, and serialisable to machine-readable JSON
-// that benches dump and CI archives. Reuses RunningStat/Histogram from
-// src/common/stats.h as the underlying accumulators.
+// registry is the generic layer above it: counters, gauges and running
+// stats keyed by name, mergeable across sites for cluster-wide
+// aggregation, and serialisable to machine-readable JSON that benches
+// dump and CI archives. Reuses RunningStat from src/common/stats.h as
+// the underlying accumulator.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -29,25 +29,20 @@ class MetricsRegistry {
   void Gauge(const std::string& name, double value);
   double gauge(const std::string& name) const;
 
-  // Distribution accumulators. The returned pointers stay valid for the
-  // registry's lifetime; Hist() with a name seen before ignores the
-  // shape arguments and returns the existing histogram.
+  // Distribution accumulator. The returned pointer stays valid for the
+  // registry's lifetime.
   RunningStat* Stat(const std::string& name);
-  Histogram* Hist(const std::string& name, double lo, double hi,
-                  size_t buckets);
 
   bool Has(const std::string& name) const;
   size_t size() const;
 
   // Adds `other` into this registry: counters add, gauges overwrite,
-  // stats and histograms merge (histogram shapes must match).
+  // stats merge.
   void Merge(const MetricsRegistry& other);
 
   // Serialises everything as one JSON object:
   //   {"counters": {...}, "gauges": {...},
-  //    "stats": {name: {count, mean, stddev, min, max, sum}},
-  //    "histograms": {name: {lo, hi, count, underflow, overflow,
-  //                          buckets: [...]}}}
+  //    "stats": {name: {count, mean, stddev, min, max, sum}}}
   // Keys are escaped; output is deterministic (maps iterate sorted).
   std::string ToJson() const;
 
@@ -61,7 +56,6 @@ class MetricsRegistry {
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, RunningStat> stats_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace polyvalue

@@ -15,22 +15,6 @@ SimCluster::SimCluster(Options options)
   faults_.SetDelayRange(options_.min_delay, options_.max_delay);
   transport_ = std::make_unique<SimTransport>(&sim_, &faults_, &rng_);
   transport_->set_trace(options_.trace);
-  endpoint_ = transport_.get();
-  if (options_.enable_batching) {
-    BatchingTransport::Options batching = options_.batching;
-    // No flusher thread in the simulator: flushes are simulator events,
-    // armed one-shot whenever a link queue goes non-empty. Every flush
-    // happens at a deterministic virtual time, so the run is still a
-    // pure function of its seed.
-    batching.auto_flush = false;
-    batching_ =
-        std::make_unique<BatchingTransport>(transport_.get(), batching);
-    const double window = batching.window_seconds;
-    batching_->set_flush_hook([this, window] {
-      sim_.After(window, [this] { batching_->FlushAll(); });
-    });
-    endpoint_ = batching_.get();
-  }
   scheduler_ = std::make_unique<SimScheduler>(&sim_);
   sites_.reserve(options_.site_count);
   for (size_t i = 0; i < options_.site_count; ++i) {
@@ -43,7 +27,7 @@ SimCluster::SimCluster(Options options)
       site_options.wal_path = StrCat(options_.wal_dir, "/site", i, ".wal");
       site_options.wal = options_.wal;
     }
-    auto site = std::make_unique<Site>(site_id(i), endpoint_,
+    auto site = std::make_unique<Site>(site_id(i), transport_.get(),
                                        scheduler_.get(), site_options);
     POLYV_CHECK(site->Start().ok());
     sites_.push_back(std::move(site));
@@ -93,15 +77,28 @@ size_t SimCluster::TotalUncertainItems() const {
   return total;
 }
 
-EngineMetrics SimCluster::TotalMetrics() const {
+namespace {
+
+// Sums the sites' engine metrics. With a registry, also exports each
+// site's metrics and uncertain-item count under "site<i>." and the sum
+// under "cluster.".
+EngineMetrics SumSiteMetrics(const std::vector<std::unique_ptr<Site>>& sites,
+                             MetricsRegistry* registry) {
   EngineMetrics total;
-  for (const auto& site : sites_) {
-    total.Accumulate(site->GetStats().engine);
+  for (size_t i = 0; i < sites.size(); ++i) {
+    const EngineMetrics m = sites[i]->GetStats().engine;
+    if (registry != nullptr) {
+      m.ExportTo(registry, StrCat("site", i, "."));
+      registry->SetCounter(StrCat("site", i, ".uncertain_items"),
+                           sites[i]->store().UncertainCount());
+    }
+    total.Accumulate(m);
+  }
+  if (registry != nullptr) {
+    total.ExportTo(registry, "cluster.");
   }
   return total;
 }
-
-namespace {
 
 // Per-site and cluster-wide WAL group-commit counters. The
 // records-per-batch ratio is the one to watch: 1.0 means group commit
@@ -131,28 +128,14 @@ void ExportWalMetrics(const std::vector<std::unique_ptr<Site>>& sites,
                             static_cast<double>(batches));
 }
 
-void ExportBatchingMetrics(const BatchingTransport* batching,
-                           uint64_t wire_batched_frames,
-                           MetricsRegistry* registry) {
-  registry->SetCounter("net.batched_frames", wire_batched_frames);
-  if (batching != nullptr) {
-    registry->SetCounter("net.packets_coalesced",
-                         batching->packets_coalesced());
-  }
-}
-
 }  // namespace
 
+EngineMetrics SimCluster::TotalMetrics() const {
+  return SumSiteMetrics(sites_, nullptr);
+}
+
 void SimCluster::ExportMetrics(MetricsRegistry* registry) const {
-  EngineMetrics total;
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    const EngineMetrics m = sites_[i]->GetStats().engine;
-    m.ExportTo(registry, StrCat("site", i, "."));
-    registry->SetCounter(StrCat("site", i, ".uncertain_items"),
-                         sites_[i]->store().UncertainCount());
-    total.Accumulate(m);
-  }
-  total.ExportTo(registry, "cluster.");
+  SumSiteMetrics(sites_, registry);
   registry->SetCounter("cluster.uncertain_items", TotalUncertainItems());
   registry->SetCounter("cluster.packets_sent", transport_->packets_sent());
   registry->SetCounter("cluster.packets_delivered",
@@ -162,8 +145,6 @@ void SimCluster::ExportMetrics(MetricsRegistry* registry) const {
   registry->SetCounter("cluster.bytes_sent", transport_->bytes_sent());
   registry->Gauge("cluster.sim_time_seconds", sim_.now());
   ExportWalMetrics(sites_, registry);
-  ExportBatchingMetrics(batching_.get(), transport_->batched_frames(),
-                        registry);
 }
 
 ThreadCluster::ThreadCluster(Options options)
@@ -178,12 +159,6 @@ ThreadCluster::ThreadCluster(Options options)
         std::make_unique<MemTransport>(options_.faults, options_.seed);
     transport_ = owned_transport_.get();
   }
-  endpoint_ = transport_;
-  if (options_.enable_batching) {
-    batching_ =
-        std::make_unique<BatchingTransport>(transport_, options_.batching);
-    endpoint_ = batching_.get();
-  }
   sites_.reserve(options_.site_count);
   for (size_t i = 0; i < options_.site_count; ++i) {
     Site::Options site_options;
@@ -195,7 +170,7 @@ ThreadCluster::ThreadCluster(Options options)
       site_options.wal_path = StrCat(options_.wal_dir, "/site", i, ".wal");
       site_options.wal = options_.wal;
     }
-    auto site = std::make_unique<Site>(site_id(i), endpoint_,
+    auto site = std::make_unique<Site>(site_id(i), transport_,
                                        &scheduler_, site_options);
     POLYV_CHECK(site->Start().ok());
     sites_.push_back(std::move(site));
@@ -205,8 +180,6 @@ ThreadCluster::ThreadCluster(Options options)
 ThreadCluster::~ThreadCluster() {
   // Sites unregister in their destructors; transports join their threads.
   sites_.clear();
-  // The decorator must die before the inner transport it wraps.
-  batching_.reset();
 }
 
 void ThreadCluster::Load(size_t site_index, const ItemKey& key,
@@ -250,23 +223,11 @@ std::optional<TxnResult> ThreadCluster::SubmitAndWait(
 }
 
 EngineMetrics ThreadCluster::TotalMetrics() const {
-  EngineMetrics total;
-  for (const auto& site : sites_) {
-    total.Accumulate(site->GetStats().engine);
-  }
-  return total;
+  return SumSiteMetrics(sites_, nullptr);
 }
 
 void ThreadCluster::ExportMetrics(MetricsRegistry* registry) const {
-  EngineMetrics total;
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    const EngineMetrics m = sites_[i]->GetStats().engine;
-    m.ExportTo(registry, StrCat("site", i, "."));
-    registry->SetCounter(StrCat("site", i, ".uncertain_items"),
-                         sites_[i]->store().UncertainCount());
-    total.Accumulate(m);
-  }
-  total.ExportTo(registry, "cluster.");
+  SumSiteMetrics(sites_, registry);
   if (owned_transport_ != nullptr) {
     registry->SetCounter("cluster.packets_sent",
                          owned_transport_->packets_sent());
@@ -274,12 +235,6 @@ void ThreadCluster::ExportMetrics(MetricsRegistry* registry) const {
                          owned_transport_->packets_delivered());
   }
   ExportWalMetrics(sites_, registry);
-  ExportBatchingMetrics(
-      batching_.get(),
-      owned_transport_ != nullptr ? owned_transport_->batched_frames()
-      : batching_ != nullptr      ? batching_->batched_frames()
-                                  : 0,
-      registry);
 }
 
 }  // namespace polyvalue

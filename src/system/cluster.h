@@ -16,7 +16,6 @@
 #include <string>
 
 #include "src/event/simulator.h"
-#include "src/net/batching_transport.h"
 #include "src/net/mem_transport.h"
 #include "src/net/sim_transport.h"
 #include "src/obs/metrics.h"
@@ -43,14 +42,6 @@ class SimCluster {
     // as before.
     std::string wal_dir;
     Wal::Options wal;
-    // Message batching. Off by default — the golden trace and every
-    // seeded run are byte-identical to the unbatched schedule. When on,
-    // a BatchingTransport (auto_flush = false) fronts the SimTransport
-    // and flush ticks are scheduled on the SIMULATOR clock
-    // (`batching.window_seconds` after a link queue first fills), so
-    // runs stay deterministic per seed.
-    bool enable_batching = false;
-    BatchingTransport::Options batching;
     size_t store_shards = ItemStore::kDefaultShards;
   };
 
@@ -63,8 +54,6 @@ class SimCluster {
   Simulator& sim() { return sim_; }
   FaultPlan& faults() { return faults_; }
   SimTransport& transport() { return *transport_; }
-  // Null unless enable_batching.
-  BatchingTransport* batching() { return batching_.get(); }
   Rng& rng() { return rng_; }
 
   // Seeds an item at the site that owns it.
@@ -103,10 +92,6 @@ class SimCluster {
   FaultPlan faults_;
   Rng rng_;
   std::unique_ptr<SimTransport> transport_;
-  std::unique_ptr<BatchingTransport> batching_;
-  // What sites register on / send through: batching_ if enabled, else
-  // transport_.
-  Transport* endpoint_ = nullptr;
   std::unique_ptr<SimScheduler> scheduler_;
   std::vector<std::unique_ptr<Site>> sites_;
 };
@@ -130,10 +115,6 @@ class ThreadCluster {
     // commit); empty disables durability.
     std::string wal_dir;
     Wal::Options wal;
-    // Message batching: wraps the transport in a BatchingTransport with
-    // a real flusher thread. Off by default.
-    bool enable_batching = false;
-    BatchingTransport::Options batching;
     size_t store_shards = ItemStore::kDefaultShards;
   };
 
@@ -143,9 +124,7 @@ class ThreadCluster {
   size_t size() const { return sites_.size(); }
   Site& site(size_t index) { return *sites_[index]; }
   SiteId site_id(size_t index) const { return SiteId(index + 1); }
-  Transport& transport() { return *endpoint_; }
-  // Null unless enable_batching.
-  BatchingTransport* batching() { return batching_.get(); }
+  Transport& transport() { return *transport_; }
 
   void Load(size_t site_index, const ItemKey& key, Value value);
 
@@ -165,9 +144,7 @@ class ThreadCluster {
  private:
   Options options_;
   std::unique_ptr<MemTransport> owned_transport_;
-  Transport* transport_;  // inner transport (owned or external)
-  std::unique_ptr<BatchingTransport> batching_;
-  Transport* endpoint_ = nullptr;  // what sites actually use
+  Transport* transport_;  // owned or external
   ThreadScheduler scheduler_;
   std::vector<std::unique_ptr<Site>> sites_;
 };

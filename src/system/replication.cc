@@ -31,10 +31,6 @@ void ReplicaSet::AddToReadSet(TxnSpec* spec, SiteId preferred) const {
   spec->Read(KeyAt(preferred), preferred);
 }
 
-void ReplicaSet::AddToReadSet(TxnSpec* spec) const {
-  AddToReadSet(spec, sites_.front());
-}
-
 TxnSpec ReplicaSet::MakeUpdate(
     std::function<Result<Value>(const Value&)> update) const {
   TxnSpec spec;
@@ -72,8 +68,6 @@ TxnSpec ReplicaSet::MakeRead(SiteId preferred) const {
   });
   return spec;
 }
-
-TxnSpec ReplicaSet::MakeRead() const { return MakeRead(sites_.front()); }
 
 void LoadReplicated(SimCluster* cluster, const ReplicaSet& replicas,
                     const Value& value) {

@@ -52,13 +52,6 @@ class ReplicaSet {
   // by the copy at `preferred`.
   TxnSpec MakeRead(SiteId preferred) const;
 
-  // Deprecated first-listed-copy defaults. Hardwiring the first copy
-  // made every read hit one site regardless of where the caller runs;
-  // pass the replica you actually want to serve the read.
-  [[deprecated("pass a preferred site")]] void AddToReadSet(
-      TxnSpec* spec) const;
-  [[deprecated("pass a preferred site")]] TxnSpec MakeRead() const;
-
  private:
   std::string logical_name_;
   std::vector<SiteId> sites_;

@@ -127,111 +127,6 @@ TEST(CodecTest, RandomBytesNeverCrash) {
   }
 }
 
-// --- multi-packet wire frame (EncodePacketBatch / DecodePacketBatch) ---
-
-std::vector<Packet> RandomBatch(Rng* rng, size_t max_packets,
-                                size_t max_payload) {
-  std::vector<Packet> packets;
-  const size_t n = rng->NextBelow(max_packets) + 1;
-  for (size_t i = 0; i < n; ++i) {
-    Packet p;
-    p.from = SiteId(rng->NextBelow(1000) + 1);
-    p.to = SiteId(rng->NextBelow(1000) + 1);
-    const size_t len = rng->NextBelow(max_payload);
-    for (size_t b = 0; b < len; ++b) {
-      p.payload.push_back(static_cast<char>(rng->NextBelow(256)));
-    }
-    packets.push_back(std::move(p));
-  }
-  return packets;
-}
-
-TEST(PacketBatchTest, RoundTripRandomBatches) {
-  Rng rng(20260806);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::vector<Packet> batch = RandomBatch(&rng, 16, 200);
-    const std::string frame = EncodePacketBatch(batch);
-    ASSERT_TRUE(IsPacketBatch(frame));
-    const Result<std::vector<Packet>> decoded = DecodePacketBatch(frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    ASSERT_EQ(decoded.value().size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(decoded.value()[i].from, batch[i].from);
-      EXPECT_EQ(decoded.value()[i].to, batch[i].to);
-      EXPECT_EQ(decoded.value()[i].payload, batch[i].payload);
-    }
-  }
-}
-
-TEST(PacketBatchTest, SingleMessageFramesAreNotBatches) {
-  // A protocol message's first byte is the codec version, which must
-  // never collide with the batch magic — otherwise receivers would try
-  // to unpack ordinary messages.
-  ByteWriter w;
-  w.PutU8(1);  // kProtocolVersion
-  w.PutVarint(12345);
-  EXPECT_FALSE(IsPacketBatch(w.buffer()));
-  EXPECT_FALSE(IsPacketBatch(""));
-  EXPECT_FALSE(IsPacketBatch("\xb7"));       // magic0 alone
-  EXPECT_FALSE(IsPacketBatch("\xb7Q"));      // wrong magic1
-  EXPECT_FALSE(DecodePacketBatch("hello").ok());
-}
-
-TEST(PacketBatchTest, EveryTruncationFailsCleanly) {
-  Rng rng(99);
-  const std::vector<Packet> batch = RandomBatch(&rng, 8, 64);
-  const std::string frame = EncodePacketBatch(batch);
-  for (size_t len = 0; len < frame.size(); ++len) {
-    const Result<std::vector<Packet>> decoded =
-        DecodePacketBatch(frame.substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " decoded";
-  }
-}
-
-TEST(PacketBatchTest, EveryBitFlipFailsCleanlyOrDecodes) {
-  // The CRC covers everything after the header, and the header is
-  // magic + version + the CRC itself — so ANY single bit flip must be
-  // rejected (flips in the magic/version make it a non-batch, flips
-  // elsewhere break the checksum).
-  Rng rng(7);
-  const std::vector<Packet> batch = RandomBatch(&rng, 6, 48);
-  const std::string frame = EncodePacketBatch(batch);
-  for (size_t byte = 0; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string corrupt = frame;
-      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-      EXPECT_FALSE(DecodePacketBatch(corrupt).ok())
-          << "flip at byte " << byte << " bit " << bit << " decoded";
-    }
-  }
-}
-
-TEST(PacketBatchTest, TrailingGarbageRejected) {
-  Rng rng(11);
-  const std::vector<Packet> batch = RandomBatch(&rng, 4, 32);
-  std::string frame = EncodePacketBatch(batch);
-  frame.push_back('x');
-  EXPECT_FALSE(DecodePacketBatch(frame).ok());
-}
-
-TEST(PacketBatchTest, RandomBytesNeverCrash) {
-  Rng rng(31337);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string noise;
-    const size_t len = rng.NextBelow(128);
-    for (size_t i = 0; i < len; ++i) {
-      noise.push_back(static_cast<char>(rng.NextBelow(256)));
-    }
-    // Force the magic sometimes so the CRC/structure paths get exercised.
-    if (noise.size() >= 3 && trial % 2 == 0) {
-      noise[0] = static_cast<char>(kPacketBatchMagic0);
-      noise[1] = static_cast<char>(kPacketBatchMagic1);
-      noise[2] = static_cast<char>(kPacketBatchVersion);
-    }
-    (void)DecodePacketBatch(noise);  // must not crash / UB
-  }
-}
-
 TEST(CodecTest, FuzzRoundTripRandomPolyValues) {
   Rng rng(4242);
   for (int trial = 0; trial < 100; ++trial) {

@@ -222,41 +222,5 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
   EXPECT_EQ(hot_total, hot_committed.load());
 }
 
-TEST(EngineShardStressTest, BatchedTransportUnderConcurrentLoad) {
-  // Same engine-level hammering, with the BatchingTransport decorator in
-  // front of MemTransport — the coalescing path must be just as safe.
-  ThreadCluster::Options options;
-  options.site_count = 3;
-  options.engine = StressConfig();
-  options.enable_batching = true;
-  options.batching.window_seconds = 0.0005;
-  ThreadCluster cluster(options);
-  constexpr int kClients = 6;
-  for (int t = 0; t < kClients; ++t) {
-    cluster.Load(t % 3, "b/" + std::to_string(t), Value::Int(0));
-  }
-  std::atomic<int> committed{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&cluster, &committed, t] {
-      for (int round = 0; round < 5; ++round) {
-        const auto result = cluster.SubmitAndWait(
-            (t + 1) % 3,
-            Increment("b/" + std::to_string(t), cluster.site_id(t % 3)),
-            20.0);
-        if (result.has_value() && result->committed()) {
-          ++committed;
-        }
-      }
-    });
-  }
-  for (auto& client : clients) {
-    client.join();
-  }
-  EXPECT_EQ(committed.load(), kClients * 5);
-  // Whether frames actually coalesced here is timing-dependent; the
-  // deterministic coalescing checks live in batching_transport_test.
-}
-
 }  // namespace
 }  // namespace polyvalue

@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: MetricsRegistry JSON export
-// (escaping, empty registry, histogram buckets, merge semantics) and the
+// (escaping, empty registry, merge semantics) and the
 // TraceAuditor's rejection of hand-built illegal traces — the negative
 // side of the invariant checks the chaos suite exercises positively.
 #include <gtest/gtest.h>
@@ -24,8 +24,7 @@ namespace {
 TEST(MetricsRegistryTest, EmptyRegistryJson) {
   MetricsRegistry registry;
   EXPECT_EQ(registry.ToJson(),
-            "{\"counters\": {}, \"gauges\": {}, \"stats\": {}, "
-            "\"histograms\": {}}");
+            "{\"counters\": {}, \"gauges\": {}, \"stats\": {}}");
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_FALSE(registry.Has("anything"));
   EXPECT_EQ(registry.counter("anything"), 0u);
@@ -44,7 +43,7 @@ TEST(MetricsRegistryTest, CountersAndGauges) {
   EXPECT_TRUE(registry.Has("g"));
   EXPECT_EQ(registry.ToJson(),
             "{\"counters\": {\"a\": 5, \"b\": 7}, \"gauges\": {\"g\": 1.5}, "
-            "\"stats\": {}, \"histograms\": {}}");
+            "\"stats\": {}}");
 }
 
 TEST(MetricsRegistryTest, EscapeJson) {
@@ -63,7 +62,7 @@ TEST(MetricsRegistryTest, EscapedKeysInJsonOutput) {
   registry.SetCounter("weird \"key\"\n", 1);
   EXPECT_EQ(registry.ToJson(),
             "{\"counters\": {\"weird \\\"key\\\"\\n\": 1}, \"gauges\": {}, "
-            "\"stats\": {}, \"histograms\": {}}");
+            "\"stats\": {}}");
 }
 
 TEST(MetricsRegistryTest, StatsJson) {
@@ -80,37 +79,16 @@ TEST(MetricsRegistryTest, StatsJson) {
   EXPECT_NE(json.find("\"sum\": 4"), std::string::npos) << json;
 }
 
-TEST(MetricsRegistryTest, HistogramBucketsJson) {
-  MetricsRegistry registry;
-  Histogram* hist = registry.Hist("delay", 0.0, 10.0, 5);
-  hist->Add(-1.0);  // underflow
-  hist->Add(1.0);   // bucket 0
-  hist->Add(3.0);   // bucket 1
-  hist->Add(3.5);   // bucket 1
-  hist->Add(99.0);  // overflow
-  // Re-requesting an existing name ignores the shape and returns the
-  // same accumulator.
-  EXPECT_EQ(registry.Hist("delay", 0.0, 1.0, 1), hist);
-  const std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"delay\": {\"lo\": 0, \"hi\": 10, \"count\": 5, "
-                      "\"underflow\": 1, \"overflow\": 1, "
-                      "\"buckets\": [1, 2, 0, 0, 0]}"),
-            std::string::npos)
-      << json;
-}
-
 TEST(MetricsRegistryTest, MergeSemantics) {
   MetricsRegistry a;
   a.SetCounter("c", 2);
   a.Gauge("g", 1.0);
   a.Stat("s")->Add(1.0);
-  a.Hist("h", 0.0, 10.0, 2)->Add(1.0);
 
   MetricsRegistry b;
   b.SetCounter("c", 3);
   b.Gauge("g", 9.0);
   b.Stat("s")->Add(3.0);
-  b.Hist("h", 0.0, 10.0, 2)->Add(7.0);
   b.SetCounter("only_b", 1);
 
   a.Merge(b);
@@ -118,7 +96,6 @@ TEST(MetricsRegistryTest, MergeSemantics) {
   EXPECT_DOUBLE_EQ(a.gauge("g"), 9.0);     // gauges overwrite
   EXPECT_EQ(a.Stat("s")->count(), 2u);     // stats merge
   EXPECT_DOUBLE_EQ(a.Stat("s")->mean(), 2.0);
-  EXPECT_EQ(a.Hist("h", 0, 0, 0)->count(), 2u);  // histograms merge
   EXPECT_EQ(a.counter("only_b"), 1u);
 }
 

@@ -1,11 +1,11 @@
 // Sim-vs-thread equivalence: one seeded workload, four runtimes.
 //
 // The same deterministic transaction sequence is driven through a
-// SimCluster and a ThreadCluster, each with message batching off and on
-// (the threaded batched run also turns on group-commit WAL). All four
-// runs must produce identical per-transaction outcomes and an identical
-// final committed database — the knobs may only change WHEN things
-// happen, never WHAT the protocol decides.
+// SimCluster and three ThreadClusters: on MemTransport, on MemTransport
+// with a group-commit WAL, and on loopback TCP. All four runs must
+// produce identical per-transaction outcomes and an identical final
+// committed database — the runtime may only change WHEN things happen,
+// never WHAT the protocol decides.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/net/tcp_transport.h"
 #include "src/system/cluster.h"
 
 namespace polyvalue {
@@ -128,13 +129,11 @@ EngineConfig Config(ProtocolLeg leg = ProtocolLeg::kTwoPhase) {
   return config;
 }
 
-RunResult RunOnSim(bool batching,
-                   ProtocolLeg leg = ProtocolLeg::kTwoPhase) {
+RunResult RunOnSim(ProtocolLeg leg = ProtocolLeg::kTwoPhase) {
   SimCluster::Options options;
   options.site_count = kSites;
   options.engine = Config(leg);
   options.seed = kSeed;
-  options.enable_batching = batching;
   SimCluster cluster(options);
   for (int j = 0; j < kItems; ++j) {
     cluster.Load(j % kSites, ItemName(j), Value::Int(0));
@@ -156,13 +155,15 @@ RunResult RunOnSim(bool batching,
   return run;
 }
 
-RunResult RunOnThreads(bool batching, const std::string& wal_dir,
-                       ProtocolLeg leg = ProtocolLeg::kTwoPhase) {
+// `transport` null runs on the cluster's own MemTransport.
+RunResult RunOnThreads(const std::string& wal_dir,
+                       ProtocolLeg leg = ProtocolLeg::kTwoPhase,
+                       Transport* transport = nullptr) {
   ThreadCluster::Options options;
   options.site_count = kSites;
   options.engine = Config(leg);
   options.seed = kSeed;
-  options.enable_batching = batching;
+  options.transport = transport;
   if (!wal_dir.empty()) {
     options.wal_dir = wal_dir;
     options.wal.sync_policy = Wal::SyncPolicy::kGroupCommit;
@@ -192,64 +193,28 @@ TEST(SimThreadEquivalenceTest, FourRuntimesOneHistory) {
   // The workload is sequential (each transaction completes before the
   // next is submitted), so every runtime must commit all of them and
   // land on the same database.
-  const RunResult sim_plain = RunOnSim(/*batching=*/false);
-  for (bool committed : sim_plain.outcomes) {
+  const RunResult sim = RunOnSim();
+  for (bool committed : sim.outcomes) {
     EXPECT_TRUE(committed);
   }
 
-  const RunResult sim_batched = RunOnSim(/*batching=*/true);
-  EXPECT_TRUE(sim_plain == sim_batched)
-      << "sim batching changed protocol outcomes";
-
-  const RunResult threads_plain = RunOnThreads(/*batching=*/false, "");
-  EXPECT_TRUE(sim_plain == threads_plain)
-      << "threaded runtime diverged from simulator";
+  const RunResult threads = RunOnThreads("");
+  EXPECT_TRUE(sim == threads) << "threaded runtime diverged from simulator";
 
   const std::string wal_dir = testing::TempDir() + "equiv_wal";
   std::remove((wal_dir + "/site0.wal").c_str());
   std::remove((wal_dir + "/site1.wal").c_str());
   std::remove((wal_dir + "/site2.wal").c_str());
   mkdir(wal_dir.c_str(), 0755);
-  const RunResult threads_batched = RunOnThreads(/*batching=*/true, wal_dir);
-  EXPECT_TRUE(sim_plain == threads_batched)
-      << "batched+group-commit threaded runtime diverged";
-}
+  const RunResult threads_wal = RunOnThreads(wal_dir);
+  EXPECT_TRUE(sim == threads_wal)
+      << "group-commit threaded runtime diverged from simulator";
 
-TEST(SimThreadEquivalenceTest, SimBatchingIsDeterministicPerSeed) {
-  // Two identical batched sim runs must agree event-for-event — here
-  // checked through outcomes, final DB, and the packet counters.
-  SimCluster::Options options;
-  options.site_count = kSites;
-  options.engine = Config();
-  options.seed = kSeed;
-  options.enable_batching = true;
-
-  uint64_t first_packets = 0;
-  RunResult first;
-  for (int round = 0; round < 2; ++round) {
-    SimCluster cluster(options);
-    for (int j = 0; j < kItems; ++j) {
-      cluster.Load(j % kSites, ItemName(j), Value::Int(0));
-    }
-    RunResult run;
-    const auto owner_of = [&cluster](int item) {
-      return cluster.site_id(item % kSites);
-    };
-    for (const Step& step : MakeWorkload()) {
-      const auto result =
-          cluster.SubmitAndRun(step.coordinator, SpecFor(step, owner_of));
-      run.outcomes.push_back(result.has_value() && result->committed());
-    }
-    cluster.RunFor(30.0);
-    run.db = SnapshotDb(cluster);
-    if (round == 0) {
-      first = run;
-      first_packets = cluster.transport().packets_sent();
-    } else {
-      EXPECT_TRUE(first == run);
-      EXPECT_EQ(first_packets, cluster.transport().packets_sent());
-    }
-  }
+  TcpTransport tcp;
+  const RunResult threads_tcp =
+      RunOnThreads("", ProtocolLeg::kTwoPhase, &tcp);
+  EXPECT_TRUE(sim == threads_tcp)
+      << "threaded runtime over TCP diverged from simulator";
 }
 
 TEST(SimThreadEquivalenceTest, PaxosLegAgreesAcrossRuntimes) {
@@ -258,18 +223,16 @@ TEST(SimThreadEquivalenceTest, PaxosLegAgreesAcrossRuntimes) {
   // never protocol outcomes. The sequential workload commits everywhere
   // and both runtimes land on the identical database — which must also
   // equal what 2PC commits for this contention-free history.
-  const RunResult sim_paxos =
-      RunOnSim(/*batching=*/false, ProtocolLeg::kPaxosCommit);
+  const RunResult sim_paxos = RunOnSim(ProtocolLeg::kPaxosCommit);
   for (bool committed : sim_paxos.outcomes) {
     EXPECT_TRUE(committed);
   }
 
-  const RunResult threads_paxos =
-      RunOnThreads(/*batching=*/false, "", ProtocolLeg::kPaxosCommit);
+  const RunResult threads_paxos = RunOnThreads("", ProtocolLeg::kPaxosCommit);
   EXPECT_TRUE(sim_paxos == threads_paxos)
       << "threaded Paxos runtime diverged from simulator";
 
-  const RunResult sim_2pc = RunOnSim(/*batching=*/false);
+  const RunResult sim_2pc = RunOnSim();
   EXPECT_TRUE(sim_paxos.db == sim_2pc.db)
       << "Paxos Commit and 2PC disagree on a contention-free history";
 }

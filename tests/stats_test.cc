@@ -100,25 +100,6 @@ TEST(TimeWeightedStatTest, ZeroSpanIsZero) {
   EXPECT_DOUBLE_EQ(s.average(), 0.0);
 }
 
-TEST(HistogramTest, CountsAndPercentiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(i * 0.1);  // uniform over [0, 10)
-  }
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.Percentile(50), 5.0, 1.0);
-  EXPECT_NEAR(h.Percentile(90), 9.0, 1.0);
-}
-
-TEST(HistogramTest, OverUnderflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-5.0);
-  h.Add(99.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.Percentile(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(100), 1.0);
-}
-
 TEST(LogHistogramTest, EmptyDefaults) {
   LogHistogram h;
   EXPECT_EQ(h.count(), 0u);

@@ -43,12 +43,12 @@
 //   kClientWait        cluster SubmitAndWait's completion latch; held
 //                      across Submit(), so it must precede everything
 //                      below the serving layer.
-//   kTransport         mem/tcp transport registries; Send() locks the
-//                      destination mailbox/endpoint and consults the
-//                      fault plan while holding it.
+//   kTransport         mem/tcp transport registries; Send() resolves
+//                      sender and receiver and consults the fault plan
+//                      while holding it, then releases it before it
+//                      takes the mailbox/endpoint lock.
 //   kTransportEndpoint per-destination mailbox / tcp endpoint.
 //   kFaultPlan         drop/partition decisions, taken under Send().
-//   kTransportStats    mem transport counters.
 //   kEngine            the txn engine's one protocol mutex; handlers
 //                      append to the WAL, touch the store/outcome
 //                      table, schedule timers and trace while holding
@@ -59,8 +59,12 @@
 //                      same discipline as kEngine (Outbox after
 //                      unlock), ordered after it so a site hosting
 //                      both legs can never invert them.
-//   kScheduler         timer wheel; ScheduleAfter is called under the
-//                      engine mutex.
+//   kScheduler         ThreadScheduler's timer map; ScheduleAfter and
+//                      Cancel run under the engine mutex. ScheduleAfter
+//                      holds it for one map insert, Cancel for a scan of
+//                      the pending timers (about ten per site); the
+//                      worker is woken after unlock, and only for a new
+//                      earliest deadline.
 //   kStoreLockPlane    item-store lock plane (disjoint from shards by
 //                      design, ordered before them for safety).
 //   kStoreShard        item-store data shards (locked one at a time).
@@ -77,7 +81,6 @@
   X(kTransport, 50)             \
   X(kTransportEndpoint, 60)     \
   X(kFaultPlan, 70)             \
-  X(kTransportStats, 80)        \
   X(kEngine, 90)                \
   X(kPaxosEngine, 95)           \
   X(kScheduler, 100)            \
@@ -135,8 +138,7 @@ inline LockRankBoundary g_kStoreLockPlane ACQUIRED_BEFORE(g_kStoreShard);
 inline LockRankBoundary g_kScheduler ACQUIRED_BEFORE(g_kStoreLockPlane);
 inline LockRankBoundary g_kPaxosEngine ACQUIRED_BEFORE(g_kScheduler);
 inline LockRankBoundary g_kEngine ACQUIRED_BEFORE(g_kPaxosEngine);
-inline LockRankBoundary g_kTransportStats ACQUIRED_BEFORE(g_kEngine);
-inline LockRankBoundary g_kFaultPlan ACQUIRED_BEFORE(g_kTransportStats);
+inline LockRankBoundary g_kFaultPlan ACQUIRED_BEFORE(g_kEngine);
 inline LockRankBoundary g_kTransportEndpoint ACQUIRED_BEFORE(g_kFaultPlan);
 inline LockRankBoundary g_kTransport ACQUIRED_BEFORE(g_kTransportEndpoint);
 inline LockRankBoundary g_kClientWait ACQUIRED_BEFORE(g_kTransport);

@@ -8,20 +8,13 @@ MemTransport::MemTransport(FaultPlan* faults, uint64_t seed)
     : faults_(faults), send_rng_(seed) {}
 
 MemTransport::~MemTransport() {
-  std::unordered_map<SiteId, std::unique_ptr<Mailbox>> boxes;
+  std::unordered_map<SiteId, std::shared_ptr<Mailbox>> boxes;
   {
     MutexLock lock(&mu_);
     boxes.swap(mailboxes_);
   }
   for (auto& [site, box] : boxes) {
-    {
-      MutexLock lock(&box->mu);
-      box->stopping = true;
-    }
-    box->cv.NotifyAll();
-    if (box->dispatcher.joinable()) {
-      box->dispatcher.join();
-    }
+    StopDispatcher(box.get());
   }
 }
 
@@ -30,7 +23,7 @@ Status MemTransport::Register(SiteId site, Handler handler) {
   if (mailboxes_.count(site)) {
     return AlreadyExistsError(StrCat("site ", site, " already registered"));
   }
-  auto box = std::make_unique<Mailbox>();
+  auto box = std::make_shared<Mailbox>();
   box->handler = std::move(handler);
   Mailbox* raw = box.get();
   box->dispatcher = std::thread([this, raw] { DispatchLoop(raw); });
@@ -39,7 +32,7 @@ Status MemTransport::Register(SiteId site, Handler handler) {
 }
 
 Status MemTransport::Unregister(SiteId site) {
-  std::unique_ptr<Mailbox> box;
+  std::shared_ptr<Mailbox> box;
   {
     MutexLock lock(&mu_);
     auto it = mailboxes_.find(site);
@@ -49,23 +42,28 @@ Status MemTransport::Unregister(SiteId site) {
     box = std::move(it->second);
     mailboxes_.erase(it);
   }
+  StopDispatcher(box.get());
+  return OkStatus();
+}
+
+void MemTransport::StopDispatcher(Mailbox* box) {
   {
     MutexLock lock(&box->mu);
     box->stopping = true;
   }
-  box->cv.NotifyAll();
+  box->cv.NotifyOne();
   if (box->dispatcher.joinable()) {
     box->dispatcher.join();
   }
-  return OkStatus();
 }
 
 Status MemTransport::Send(Packet packet) {
   std::chrono::microseconds delay(0);
+  std::shared_ptr<Mailbox> box;
   {
     MutexLock lock(&mu_);
     ++packets_sent_;
-    if (mailboxes_.find(packet.from) == mailboxes_.end()) {
+    if (!mailboxes_.contains(packet.from)) {
       return InvalidArgumentError(
           StrCat("sender ", packet.from, " not registered"));
     }
@@ -76,20 +74,25 @@ Status MemTransport::Send(Packet packet) {
       delay = std::chrono::microseconds(
           static_cast<int64_t>(faults_->SampleDelay(&send_rng_) * 1e6));
     }
+    auto it = mailboxes_.find(packet.to);
+    if (it == mailboxes_.end()) {
+      return OkStatus();  // receiver does not exist: drop
+    }
+    box = it->second;
   }
-  MutexLock outer(&mu_);
-  auto it = mailboxes_.find(packet.to);
-  if (it == mailboxes_.end()) {
-    return OkStatus();  // receiver does not exist: drop
-  }
-  Mailbox* box = it->second.get();
+  bool new_earliest;
   {
     MutexLock lock(&box->mu);
+    const uint64_t seq = box->next_seq++;
     box->queue.push(
-        {std::chrono::steady_clock::now() + delay, next_seq_++,
-         std::move(packet)});
+        {std::chrono::steady_clock::now() + delay, seq, std::move(packet)});
+    new_earliest = box->queue.top().seq == seq;
   }
-  box->cv.NotifyOne();
+  // The dispatcher is busy or sleeps until its earliest deadline; only a
+  // new earliest deadline needs to wake it.
+  if (new_earliest) {
+    box->cv.NotifyOne();
+  }
   return OkStatus();
 }
 
@@ -119,34 +122,33 @@ void MemTransport::DispatchLoop(Mailbox* box) {
     box->idle = false;
     box->mu.Unlock();
     box->handler(std::move(packet));
-    {
-      MutexLock stats(&stats_mu_);
-      ++packets_delivered_;
-    }
+    ++packets_delivered_;
     box->mu.Lock();
     box->idle = true;
-    box->cv.NotifyAll();  // wake Flush waiters
+    if (box->queue.empty()) {
+      box->drained.NotifyAll();  // wake Flush waiters
+    }
   }
 }
 
 void MemTransport::Flush() {
   for (;;) {
-    std::vector<Mailbox*> boxes;
+    std::vector<std::shared_ptr<Mailbox>> boxes;
     {
       MutexLock lock(&mu_);
       boxes.reserve(mailboxes_.size());
       for (auto& [site, box] : mailboxes_) {
-        boxes.push_back(box.get());
+        boxes.push_back(box);
       }
     }
     bool all_idle = true;
-    for (Mailbox* box : boxes) {
+    for (const auto& box : boxes) {
       MutexLock lock(&box->mu);
       if (!box->queue.empty() || !box->idle) {
         all_idle = false;
         // Wait for this mailbox to drain (with a poll fallback for
         // delayed packets).
-        (void)box->cv.WaitFor(&box->mu, 0.001);
+        (void)box->drained.WaitFor(&box->mu, 0.001);
       }
     }
     if (all_idle) {
@@ -161,8 +163,7 @@ uint64_t MemTransport::packets_sent() const {
 }
 
 uint64_t MemTransport::packets_delivered() const {
-  MutexLock lock(&stats_mu_);
-  return packets_delivered_;
+  return packets_delivered_.load();
 }
 
 }  // namespace polyvalue

@@ -5,9 +5,17 @@
 // sampled delay) and enqueues. The dispatcher sleeps until the earliest
 // deadline and invokes the handler off the sender's thread — the engine
 // above must therefore be thread-safe, which the integration tests verify.
+//
+// Send is the hand-off every protocol message pays for, so it is kept
+// lean: one registry critical section finds both sender and receiver,
+// the packet is queued under the receiver's mailbox lock alone, and the
+// dispatcher is woken after every lock is released, and only when the
+// packet is now its earliest deadline. Mailboxes are shared_ptr-owned,
+// so an Unregister racing a Send cannot free the mailbox under it.
 #ifndef SRC_NET_MEM_TRANSPORT_H_
 #define SRC_NET_MEM_TRANSPORT_H_
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <queue>
@@ -58,9 +66,13 @@ class MemTransport : public Transport {
 
   struct Mailbox {
     Mutex mu POLYV_MUTEX_RANK(kTransportEndpoint);
-    CondVar cv;
+    // Two condition variables, so that Send's NotifyOne always reaches
+    // the dispatcher and never a Flush waiter instead.
+    CondVar cv;       // the dispatcher waits here for packets
+    CondVar drained;  // Flush waits here for the mailbox to go idle
     std::priority_queue<Timed, std::vector<Timed>, Later> queue
         GUARDED_BY(mu);
+    uint64_t next_seq GUARDED_BY(mu) = 0;  // FIFO among equal deadlines
     // Set once before the dispatcher thread starts, invoked unlocked —
     // deliberately not guarded.
     Handler handler;
@@ -70,17 +82,17 @@ class MemTransport : public Transport {
   };
 
   void DispatchLoop(Mailbox* box);
+  // Stops the mailbox's dispatcher and waits for it to exit.
+  static void StopDispatcher(Mailbox* box);
 
-  FaultPlan* faults_;
+  FaultPlan* const faults_;  // fixed at construction; thread-safe itself
   Rng send_rng_ GUARDED_BY(mu_);
 
   mutable Mutex mu_ POLYV_MUTEX_RANK(kTransport);
-  std::unordered_map<SiteId, std::unique_ptr<Mailbox>> mailboxes_
+  std::unordered_map<SiteId, std::shared_ptr<Mailbox>> mailboxes_
       GUARDED_BY(mu_);
-  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   uint64_t packets_sent_ GUARDED_BY(mu_) = 0;
-  mutable Mutex stats_mu_ POLYV_MUTEX_RANK(kTransportStats);
-  uint64_t packets_delivered_ GUARDED_BY(stats_mu_) = 0;
+  std::atomic<uint64_t> packets_delivered_{0};
 };
 
 }  // namespace polyvalue

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <deque>
@@ -181,7 +182,11 @@ class TcpTransport::Impl {
       MutexLock lock(&from->mu);
       from->pending_sends.push_back(std::move(packet));
     }
-    Wake(from);
+    // A handler replying from the sender's own io thread needs no wake:
+    // IoLoop flushes pending_sends before it blocks again.
+    if (from != io_endpoint_) {
+      Wake(from);
+    }
     return OkStatus();
   }
 
@@ -196,8 +201,7 @@ class TcpTransport::Impl {
     return packets_sent_;
   }
   uint64_t packets_delivered() const {
-    MutexLock lock(&mu_);
-    return packets_delivered_;
+    return packets_delivered_.load();
   }
 
  private:
@@ -369,46 +373,51 @@ class TcpTransport::Impl {
         break;
       }
       // EOF or error: deliver what is complete, then drop the connection.
-      DrainFrames(ep, conn);
-      CloseConnection(ep, fd);
+      if (DrainFrames(ep, conn)) {
+        CloseConnection(ep, fd);
+      }
       return;
     }
     DrainFrames(ep, conn);
   }
 
-  void DrainFrames(Endpoint* ep, Connection* conn) {
+  // Delivers every complete frame in conn->inbox, then drops the
+  // consumed bytes in one move. Returns false when a corrupt frame closed
+  // (and freed) the connection.
+  bool DrainFrames(Endpoint* ep, Connection* conn) {
+    size_t offset = 0;
     for (;;) {
-      if (conn->inbox.size() < 4) {
-        return;
+      const size_t available = conn->inbox.size() - offset;
+      if (available < 4) {
+        break;
       }
-      ByteReader header(conn->inbox.data(), 4);
+      const char* frame = conn->inbox.data() + offset;
+      ByteReader header(frame, 4);
       const uint32_t body_len = header.GetFixed32().value();
       if (body_len > 64u * 1024 * 1024) {
         // Corrupt length: poison the connection.
-        conn->inbox.clear();
         CloseConnection(ep, conn->fd);
-        return;
+        return false;
       }
-      if (conn->inbox.size() < 4u + body_len) {
-        return;
+      if (available < 4u + body_len) {
+        break;
       }
-      ByteReader body(conn->inbox.data() + 4, body_len);
+      ByteReader body(frame + 4, body_len);
       auto from = body.GetVarint();
       auto to = body.GetVarint();
       if (from.ok() && to.ok()) {
         Packet packet;
         packet.from = SiteId(from.value());
         packet.to = SiteId(to.value());
-        packet.payload.assign(conn->inbox.data() + 4 + (body_len - body.remaining()),
+        packet.payload.assign(frame + 4 + (body_len - body.remaining()),
                               body.remaining());
-        {
-          MutexLock lock(&mu_);
-          ++packets_delivered_;
-        }
+        ++packets_delivered_;
         ep->handler(std::move(packet));
       }
-      conn->inbox.erase(0, 4u + body_len);
+      offset += 4u + body_len;
     }
+    conn->inbox.erase(0, offset);
+    return true;
   }
 
   void HandleAccept(Endpoint* ep) {
@@ -431,6 +440,7 @@ class TcpTransport::Impl {
   }
 
   void IoLoop(Endpoint* ep) {
+    io_endpoint_ = ep;
     epoll_event events[64];
     for (;;) {
       {
@@ -480,8 +490,13 @@ class TcpTransport::Impl {
       GUARDED_BY(mu_);
   std::unordered_map<SiteId, uint16_t> ports_ GUARDED_BY(mu_);
   uint64_t packets_sent_ GUARDED_BY(mu_) = 0;
-  uint64_t packets_delivered_ GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> packets_delivered_{0};
+  // The endpoint whose IoLoop runs on this thread (null elsewhere).
+  static thread_local Endpoint* io_endpoint_;
 };
+
+thread_local TcpTransport::Endpoint* TcpTransport::Impl::io_endpoint_ =
+    nullptr;
 
 TcpTransport::TcpTransport() : impl_(std::make_unique<Impl>()) {}
 TcpTransport::~TcpTransport() = default;

@@ -12,6 +12,13 @@
 // Partial reads/writes are handled; a peer that disappears mid-frame
 // costs the in-flight packets and nothing else, which is exactly the loss
 // model the commit protocol already tolerates.
+//
+// Send queues the packet on the sender's endpoint and wakes its I/O
+// thread through an eventfd, except when the caller is that I/O thread
+// itself (a handler replying): the loop flushes queued sends before it
+// blocks, so the wake would only cost a syscall and an extra epoll round.
+// Received bytes are consumed by offset and compacted once per read, so
+// a burst of small frames costs linear, not quadratic, copying.
 #ifndef SRC_NET_TCP_TRANSPORT_H_
 #define SRC_NET_TCP_TRANSPORT_H_
 

@@ -13,10 +13,15 @@ namespace polyvalue {
 void TxnEngine::HandlePrepare(SiteId from, const Message& msg, Outbox* out) {
   (void)from;
   const TxnId txn = msg.txn;
-  if (participations_.count(txn) > 0 || prepared_.count(txn) > 0) {
+  // Ignore a duplicate PREPARE, and one that an ABORT overtook: the
+  // coordinator has decided, so lock nothing and arm no watchdog. (Once
+  // the bounded resolved cache evicts the txn, a late PREPARE is served
+  // and the compute watchdog frees its locks.)
+  if (participations_.count(txn) > 0 || prepared_.count(txn) > 0 ||
+      outcomes_->KnownOutcome(txn) == std::optional<bool>(false)) {
     Trace(TraceEventType::kMsgIgnored, txn, false,
           static_cast<uint64_t>(MsgType::kPrepare));
-    return;  // duplicate PREPARE
+    return;
   }
 
   // idle -> compute: lock every item this site contributes, then read.

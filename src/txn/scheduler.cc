@@ -1,7 +1,6 @@
 #include "src/txn/scheduler.h"
 
 #include <chrono>
-#include <vector>
 
 namespace polyvalue {
 
@@ -14,7 +13,7 @@ ThreadScheduler::~ThreadScheduler() {
     MutexLock lock(&mu_);
     stopping_ = true;
   }
-  cv_.NotifyAll();
+  cv_.NotifyOne();
   if (worker_.joinable()) {
     worker_.join();
   }
@@ -30,19 +29,26 @@ Scheduler::TimerId ThreadScheduler::ScheduleAfter(double delay_seconds,
       Clock::now() + std::chrono::microseconds(
                          static_cast<int64_t>(delay_seconds * 1e6));
   TimerId id;
+  bool new_earliest;
   {
     MutexLock lock(&mu_);
     id = next_id_++;
-    timers_.emplace(fire_at, std::make_pair(id, std::move(action)));
+    const Timers::iterator it =
+        timers_.emplace(fire_at, Timer{id, std::move(action)});
+    new_earliest = it == timers_.begin();
   }
-  cv_.NotifyAll();
+  // The worker sleeps until the earliest deadline it saw, so only a new
+  // earliest deadline needs to wake it.
+  if (new_earliest) {
+    cv_.NotifyOne();
+  }
   return id;
 }
 
 bool ThreadScheduler::Cancel(TimerId id) {
   MutexLock lock(&mu_);
   for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (it->second.first == id) {
+    if (it->second.id == id) {
       timers_.erase(it);
       return true;
     }
@@ -67,10 +73,10 @@ void ThreadScheduler::Loop() {
       (void)cv_.WaitUntil(&mu_, next_fire);
       continue;
     }
-    auto entry = std::move(timers_.begin()->second);
+    Timer timer = std::move(timers_.begin()->second);
     timers_.erase(timers_.begin());
     mu_.Unlock();
-    entry.second();  // run outside the lock; action may reschedule
+    timer.action();  // run outside the lock; action may reschedule
     mu_.Lock();
   }
 }

@@ -3,6 +3,7 @@
 // directly with hand-built messages.
 #include <gtest/gtest.h>
 
+#include "src/obs/audit.h"
 #include "src/system/cluster.h"
 
 namespace polyvalue {
@@ -186,6 +187,58 @@ TEST(RobustnessTest, MessagesToCrashedSiteVanish) {
       MakePrepare(FakeTxn(1, 906), cluster.site_id(0), {"x"}, {"x"}));
   // Crashed engine ignores direct delivery too.
   EXPECT_EQ(cluster.site(1).store().locked_count(), 0u);
+}
+
+// A slow link lets the coordinator's ABORT overtake its own PREPARE:
+// site 1 refuses at once (its item is missing), the coordinator aborts,
+// and the ABORT reaches site 2 long before the PREPARE does. The late
+// PREPARE must take no lock and leave no participation behind (no
+// compute watchdog, so no kComputeDiscard later).
+TEST(RobustnessTest, PrepareOvertakenByAbortTakesNoLocks) {
+  VectorTraceSink trace;
+  SimCluster::Options options = ClusterOptions(3);
+  options.trace = &trace;
+  SimCluster cluster(options);
+  cluster.Load(2, "b", Value::Int(50));
+  const SiteId site2 = cluster.site_id(2);
+  // Only the PREPARE, sent inside Submit, sees the slow link.
+  cluster.faults().SetLinkDelayRange(cluster.site_id(0), site2, 0.3, 0.3);
+  std::optional<TxnResult> result;
+  TxnSpec spec;
+  spec.ReadWrite("a", cluster.site_id(1));  // never loaded: refused
+  spec.ReadWrite("b", site2);
+  spec.Logic([](const TxnReads&) { return TxnEffect(); });
+  const TxnId txn = cluster.Submit(
+      0, std::move(spec), [&result](const TxnResult& r) { result = r; });
+  cluster.faults().ClearLinkDelays();
+
+  cluster.RunFor(0.35);  // the ABORT lands at ~0.03 s, the PREPARE at 0.3 s
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->committed());
+  EXPECT_FALSE(cluster.site(2).store().LockHolder("b").has_value());
+
+  cluster.RunFor(2.0);  // past the compute watchdog a served PREPARE arms
+  EXPECT_EQ(cluster.site(2).store().locked_count(), 0u);
+  bool learned_abort = false;
+  bool ignored_prepare = false;
+  for (const TraceEvent& e : trace.Snapshot()) {
+    if (e.site != site2 || e.txn != txn) {
+      continue;
+    }
+    EXPECT_NE(e.type, TraceEventType::kPrepareRecv);
+    EXPECT_NE(e.type, TraceEventType::kComputeDiscard);
+    if (e.type == TraceEventType::kOutcomeLearned) {
+      EXPECT_FALSE(ignored_prepare) << "PREPARE arrived before the ABORT";
+      learned_abort = !e.flag;
+    }
+    if (e.type == TraceEventType::kMsgIgnored &&
+        e.arg == static_cast<uint64_t>(MsgType::kPrepare)) {
+      ignored_prepare = true;
+    }
+  }
+  EXPECT_TRUE(learned_abort);
+  EXPECT_TRUE(ignored_prepare);
+  EXPECT_TRUE(TraceAuditor::Check(trace.Snapshot()).ok());
 }
 
 }  // namespace

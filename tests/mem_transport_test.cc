@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/common/thread_annotations.h"
 
@@ -139,6 +140,73 @@ TEST(MemTransportTest, UnregisterIsCleanWhileTrafficFlows) {
   EXPECT_TRUE(transport.Unregister(kB).ok());
   // Sends to a gone receiver are dropped, not errors.
   EXPECT_TRUE(transport.Send({kA, kB, "late"}).ok());
+}
+
+// Send resolves the receiver's mailbox and queues into it after leaving
+// the registry lock, so an Unregister may complete in between. The
+// mailbox must outlive every such Send (run this under ASan/TSan).
+TEST(MemTransportTest, UnregisterWhileSendersTarget) {
+  MemTransport transport;
+  std::atomic<int> got{0};
+  ASSERT_TRUE(transport.Register(kA, [](Packet) {}).ok());
+  ASSERT_TRUE(transport.Register(kB, [&](Packet) { ++got; }).ok());
+  constexpr int kThreads = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> sent{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&] {
+      while (!stop) {
+        EXPECT_TRUE(transport.Send({kA, kB, "x"}).ok());
+        ++sent;
+      }
+    });
+  }
+  while (sent < 1000 || got == 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(transport.Unregister(kB).ok());
+  const int at_unregister = got.load();
+  const int sent_before_stop = sent.load();
+  while (sent < sent_before_stop + 1000) {
+    std::this_thread::yield();
+  }
+  stop = true;
+  for (auto& sender : senders) {
+    sender.join();
+  }
+  transport.Flush();
+  // Nothing reaches the handler once Unregister has returned.
+  EXPECT_EQ(got.load(), at_unregister);
+  EXPECT_EQ(transport.packets_delivered(), static_cast<uint64_t>(got.load()));
+}
+
+TEST(MemTransportTest, DeliveredCountMatchesHandlerCallsAfterFlush) {
+  FaultPlan faults;
+  faults.SetDelayRange(0, 0.001);
+  faults.SetDropProbability(0.2);
+  MemTransport transport(&faults, /*seed=*/7);
+  std::atomic<int> got{0};
+  ASSERT_TRUE(transport.Register(kA, [&](Packet) { ++got; }).ok());
+  ASSERT_TRUE(transport.Register(kB, [&](Packet) { ++got; }).ok());
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 4; ++t) {
+    senders.emplace_back([&transport, t] {
+      for (int i = 0; i < 250; ++i) {
+        const bool to_b = (t + i) % 2 == 0;
+        ASSERT_TRUE(
+            transport.Send({to_b ? kA : kB, to_b ? kB : kA, "y"}).ok());
+      }
+    });
+  }
+  for (auto& sender : senders) {
+    sender.join();
+  }
+  transport.Flush();
+  EXPECT_EQ(transport.packets_sent(), 1000u);
+  EXPECT_GT(got.load(), 0);
+  EXPECT_LT(got.load(), 1000);  // some were dropped
+  EXPECT_EQ(transport.packets_delivered(), static_cast<uint64_t>(got.load()));
 }
 
 }  // namespace

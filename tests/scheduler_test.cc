@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "src/common/thread_annotations.h"
 
@@ -93,6 +94,74 @@ TEST(ThreadSchedulerTest, ActionsMayReschedule) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(count.load(), 3);
+}
+
+// The worker sleeps until the earliest deadline it knows of, so a timer
+// that becomes the new earliest must wake it: otherwise the 20 ms timer
+// would wait behind the 10 s one.
+TEST(ThreadSchedulerTest, NewEarliestDeadlineWakesWorker) {
+  ThreadScheduler scheduler;
+  std::atomic<bool> late_fired{false};
+  std::atomic<bool> early_fired{false};
+  scheduler.ScheduleAfter(10.0, [&] { late_fired = true; });
+  // Let the worker go to sleep on the 10 s deadline first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double start = scheduler.Now();
+  scheduler.ScheduleAfter(0.02, [&] { early_fired = true; });
+  for (int i = 0; i < 200 && !early_fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(early_fired.load());
+  EXPECT_LT(scheduler.Now() - start, 1.0);
+  EXPECT_FALSE(late_fired.load());
+}
+
+TEST(ThreadSchedulerTest, CancelAmongManyPendingTimers) {
+  ThreadScheduler scheduler;
+  constexpr int kTimers = 1000;
+  constexpr int kCancelled = 500;
+  Mutex mu;
+  std::vector<int> order;
+  std::atomic<int> fired{0};
+  std::vector<Scheduler::TimerId> ids;
+  for (int i = 0; i < kTimers; ++i) {
+    // 0.1 s out, 0.1 ms apart, so firing order is scheduling order.
+    ids.push_back(scheduler.ScheduleAfter(0.1 + i * 1e-4, [&, i] {
+      MutexLock lock(&mu);
+      order.push_back(i);
+      ++fired;
+    }));
+  }
+  EXPECT_TRUE(scheduler.Cancel(ids[kCancelled]));
+  EXPECT_FALSE(scheduler.Cancel(ids[kCancelled]));
+  EXPECT_FALSE(scheduler.Cancel(ids.back() + 1));  // never issued
+  for (int i = 0; i < 400 && fired < kTimers - 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(fired.load(), kTimers - 1);
+  // A fired timer is no longer pending, so it cannot be cancelled.
+  EXPECT_FALSE(scheduler.Cancel(ids.front()));
+  EXPECT_FALSE(scheduler.Cancel(ids.back()));
+  MutexLock lock(&mu);
+  std::vector<int> expected;
+  for (int i = 0; i < kTimers; ++i) {
+    if (i != kCancelled) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadSchedulerTest, CancelOfFiredTimerReturnsFalse) {
+  ThreadScheduler scheduler;
+  std::atomic<bool> fired{false};
+  const auto id = scheduler.ScheduleAfter(0.01, [&] { fired = true; });
+  for (int i = 0; i < 200 && !fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(fired.load());
+  EXPECT_FALSE(scheduler.Cancel(id));
 }
 
 TEST(ThreadSchedulerTest, DestructionWithPendingTimersIsClean) {

@@ -66,11 +66,23 @@ TEST(TcpTransportTest, ManyFramesInOrderOverOneConnection) {
   ASSERT_TRUE(transport
                   .Register(kB,
                             [&](Packet p) {
-                              MutexLock lock(&mu);
-                              payloads.push_back(p.payload);
+                              bool first;
+                              {
+                                MutexLock lock(&mu);
+                                first = payloads.empty();
+                                payloads.push_back(p.payload);
+                              }
+                              if (first) {
+                                // Stall the reader so the rest of the
+                                // burst piles up and lands in a few reads.
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(100));
+                              }
                             })
                   .ok());
-  const int n = 200;
+  // Many small frames per read: each read is drained by offset, with one
+  // partial frame carried over, and compacted once.
+  const int n = 20000;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(transport.Send({kA, kB, std::to_string(i)}).ok());
   }
@@ -82,6 +94,43 @@ TEST(TcpTransportTest, ManyFramesInOrderOverOneConnection) {
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(payloads[i], std::to_string(i));
   }
+}
+
+// Every ping and pong after the first is sent by a handler on the
+// sender's own io thread, which skips the eventfd wake. Each must still
+// leave before the loop blocks: a stranded send would wait out the 50 ms
+// epoll timeout, and 500 rounds would take 25 s or more.
+TEST(TcpTransportTest, RepliesFromHandlersAreNotStranded) {
+  constexpr int kRounds = 500;
+  std::atomic<int> pongs{0};  // outlives the transport's io threads
+  TcpTransport transport;
+  ASSERT_TRUE(transport
+                  .Register(kA,
+                            [&](Packet) {
+                              if (++pongs < kRounds) {
+                                EXPECT_TRUE(
+                                    transport.Send({kA, kB, "ping"}).ok());
+                              }
+                            })
+                  .ok());
+  ASSERT_TRUE(transport
+                  .Register(kB,
+                            [&](Packet p) {
+                              EXPECT_TRUE(
+                                  transport.Send({kB, p.from, "pong"}).ok());
+                            })
+                  .ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(transport.Send({kA, kB, "ping"}).ok());
+  for (int i = 0; i < 1000 && pongs.load() < kRounds; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(pongs.load(), kRounds);
+  EXPECT_LT(elapsed, 5.0);
+  EXPECT_EQ(transport.packets_delivered(), 2u * kRounds);
 }
 
 TEST(TcpTransportTest, LargePayload) {

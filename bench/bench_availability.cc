@@ -30,10 +30,11 @@
 // With POLYV_AVAILABILITY_JSON=<path> the full grid is also written as
 // one consolidated JSON artifact (schema_version 1, byte-reproducible
 // across runs: the whole sweep is a pure function of the pinned seed).
-// tools/bench_availability_gate.py re-validates it in CI. Exit status
-// is non-zero if any gated expectation fails.
+// The exit status is the verdict: non-zero if any gated expectation in
+// Gate() fails.
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,14 @@
 
 namespace polyvalue {
 namespace {
+
+// The swept grid: every protocol leg at every outage length.
+constexpr double kOutages[] = {2.0, 5.0, 10.0};
+constexpr const char* kProtocols[] = {"block", "polyvalue", "paxos_commit"};
+static_assert(std::size(kOutages) == 3 && kOutages[0] == 2.0 &&
+                  kOutages[1] == 5.0 && kOutages[2] == 10.0,
+              "outages {2, 5, 10} s, as the JSON config records");
+static_assert(std::size(kProtocols) == 3, "all three protocol legs");
 
 struct Cell {
   double outage;
@@ -136,7 +145,7 @@ std::vector<std::string> Gate(const std::vector<Cell>& cells) {
       problems.push_back(where + ": no traffic landed in the outage");
     }
   }
-  for (double outage : {2.0, 5.0, 10.0}) {
+  for (double outage : kOutages) {
     const Cell* block = find("block", outage);
     const Cell* paxos = find("paxos_commit", outage);
     const Cell* poly = find("polyvalue", outage);
@@ -270,8 +279,8 @@ int RunSweep() {
               "-----------------------------------------------------------"
               "-----------------------------------------------------------");
   std::vector<Cell> cells;
-  for (double outage : {2.0, 5.0, 10.0}) {
-    for (const char* protocol : {"block", "polyvalue", "paxos_commit"}) {
+  for (double outage : kOutages) {
+    for (const char* protocol : kProtocols) {
       cells.push_back(RunCell(protocol, outage));
       const Cell& c = cells.back();
       const WorkloadReport& r = c.report;

@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,13 @@ const ChaosCell kChaos[] = {
     {"split_brain", Chaos::kSplitBrain, true},
     {"rolling_recovery", Chaos::kRollingRecovery, true},
 };
+
+// The grid's minimum shape: enough seeds, mixes and failure kinds that
+// one lucky schedule cannot carry the verdict.
+static_assert(std::size(kSeeds) >= 2, "at least 2 pinned seeds");
+static_assert(kVirtualClients >= 1'000'000, "at least 1M virtual clients");
+static_assert(std::size(kWorkloads) >= 4, "at least 4 workload mixes");
+static_assert(std::size(kChaos) >= 3, "at least 3 chaos kinds");
 
 bool RunsReplicatedChaos(const WorkloadCell& workload) {
   const std::string name = workload.name;

@@ -6,10 +6,15 @@
 // were exercised, and printing the machine as a transition table. A
 // latency section reports the virtual-time cost of the commit path and of
 // the in-doubt path (wait-timeout -> polyvalue install).
+//
+// With POLYV_METRICS_JSON=<path> the commit-path cluster's metrics
+// registry (per-site and cluster-wide counters) is written there as JSON.
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 
 #include "src/obs/audit.h"
+#include "src/obs/metrics.h"
 #include "src/system/cluster.h"
 
 namespace polyvalue {
@@ -54,8 +59,10 @@ struct Edge {
 
 // Edge 1+2+3: idle -> compute (PREPARE), compute -> wait (WRITE_REQ:
 // results computed promptly, READY sent), wait -> idle (COMPLETE:
-// install). Measures the commit path latency.
-double ExerciseCommitPath(bool* ok, VectorTraceSink* trace) {
+// install). Measures the commit path latency and exports the cluster's
+// metrics into `registry`.
+double ExerciseCommitPath(bool* ok, VectorTraceSink* trace,
+                          MetricsRegistry* registry) {
   SimCluster::Options options = Options();
   options.trace = trace;
   SimCluster cluster(options);
@@ -66,6 +73,7 @@ double ExerciseCommitPath(bool* ok, VectorTraceSink* trace) {
   cluster.RunFor(1.0);
   *ok = result.has_value() && result->committed() &&
         cluster.site(1).Peek("x").value().certain_value() == Value::Int(1);
+  cluster.ExportMetrics(registry);
   return latency;
 }
 
@@ -152,7 +160,9 @@ int main() {
 
   VectorTraceSink commit_trace, abort_trace, discard_trace, poly_trace;
   bool commit_ok = false;
-  const double commit_latency = ExerciseCommitPath(&commit_ok, &commit_trace);
+  MetricsRegistry registry;
+  const double commit_latency =
+      ExerciseCommitPath(&commit_ok, &commit_trace, &registry);
   const bool abort_ok = ExerciseAbortEdge(&abort_trace);
   const bool discard_ok = ExerciseComputeDiscardEdge(&discard_trace);
   bool poly_ok = false;
@@ -208,5 +218,14 @@ int main() {
   std::printf("\n%s\n", all ? "All six Figure-1 edges exercised by the real "
                               "protocol engine."
                             : "SOME EDGES FAILED — see above.");
+  if (const char* path = std::getenv("POLYV_METRICS_JSON")) {
+    const Status status = registry.WriteJsonFile(path);
+    if (!status.ok()) {
+      std::fprintf(stderr, "failed to write metrics JSON to %s: %s\n", path,
+                   status.message().c_str());
+      return 1;
+    }
+    std::printf("metrics JSON written to %s\n", path);
+  }
   return all ? 0 : 1;
 }

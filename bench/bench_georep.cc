@@ -34,13 +34,16 @@
 //
 // Results go to stdout and to BENCH_georep.json (override with
 // POLYV_GEOREP_JSON). The simulator is seeded and deterministic: two
-// runs emit byte-identical JSON, which CI verifies, and
-// tools/bench_georep_gate.py re-checks the gates on the artifact.
+// runs emit byte-identical JSON, which CI verifies. The exit status is
+// the verdict: non-zero if any strategy misses a gate above, if its
+// probe and read counts do not add up, or if local reads are not 5x
+// faster than primary reads before the loss.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/lockdep.h"
@@ -88,6 +91,12 @@ constexpr double kRetryBackoff = 0.4;
 // does NOT scale with the 20 s outage.
 constexpr double kMaxFailoverGap =
     kReadInterval + kReplicationFactor * kFailoverTimeout + 0.35;
+static_assert(kMaxFailoverGap < kRecoveryAt - kRegionLossAt,
+              "the failover gap bound must separate failover from the "
+              "outage");
+// Local reads must be at least this many times faster than primary
+// reads before the loss (intra-region vs WAN round trips).
+constexpr double kLocalSpeedup = 5.0;
 
 struct Strategy {
   const char* name;
@@ -95,11 +104,14 @@ struct Strategy {
   size_t max_attempts;  // 0 = every copy
 };
 
-const Strategy kStrategies[] = {
+constexpr Strategy kStrategies[] = {
     {"local_failover", true, 0},
     {"primary_failover", false, 0},
     {"primary_only", false, 1},
 };
+// The local-vs-primary latency gate in Run() compares the first two.
+static_assert(std::string_view(kStrategies[0].name) == "local_failover" &&
+              std::string_view(kStrategies[1].name) == "primary_failover");
 
 struct ReadSample {
   double issued;
@@ -358,9 +370,16 @@ StrategyResult RunStrategy(const Strategy& strategy) {
   }
   result.final_uncertain = cluster.TotalUncertainItems();
 
+  // The probe and read counts must add up, and writes must have landed.
+  const bool counts_add_up =
+      result.probes > 0 && result.probes_served <= result.probes &&
+      result.reads >= result.probes &&
+      result.served + result.failed == result.reads &&
+      result.write_commits > 0;
   const bool correctness =
       result.audit_clean && result.replicas_consistent &&
-      result.final_uncertain == 0 && result.lockdep_reports == 0;
+      result.final_uncertain == 0 && result.lockdep_reports == 0 &&
+      counts_add_up;
   if (strategy.max_attempts == 0) {
     // Failover strategies: reads survive the ENTIRE region loss, and
     // the longest silence is failover-bounded, not outage-bounded.
@@ -449,6 +468,18 @@ int Run() {
                 r.audit_clean ? "ok" : "FAIL", r.pass ? "ok" : "FAIL");
     all_pass = all_pass && r.pass;
   }
+  // Local copies answer at intra-region latency; primaries usually sit
+  // across the WAN.
+  const bool local_is_faster = results[0].pre_loss_p50_ms * kLocalSpeedup <=
+                               results[1].pre_loss_p50_ms;
+  if (!local_is_faster) {
+    std::fprintf(stderr,
+                 "local-read p50 %.3f ms is not %.0fx faster than "
+                 "primary-read p50 %.3f ms\n",
+                 results[0].pre_loss_p50_ms, kLocalSpeedup,
+                 results[1].pre_loss_p50_ms);
+  }
+  all_pass = all_pass && local_is_faster;
 
   std::string json = "{\n  \"schema_version\": 1,\n"
                      "  \"bench\": \"bench_georep\",\n  \"config\": {";
@@ -492,7 +523,7 @@ int Run() {
   if (!all_pass) {
     std::fprintf(stderr,
                  "FAIL: a strategy violated an invariant or missed its "
-                 "availability/latency gate\n");
+                 "availability/latency gate (see above)\n");
     return 1;
   }
   return 0;

@@ -2,8 +2,10 @@
 //
 // Explore the parameter space beyond the paper's tables:
 //
-//   polysim_cli --u=10 --f=0.01 --i=10000 --r=0.01 --y=0 --d=1 \
+//   polysim_cli --u=10 --f=0.01 --i=10000 --r=0.01 --y=0 --d=1
 //               --warmup=2000 --measure=10000 --seed=1 [--series]
+//
+// (one command line, wrapped here for width)
 //
 // Prints the simulated steady-state polyvalue count next to the model
 // prediction; --series additionally prints a P(t) time series (useful

@@ -71,8 +71,8 @@ Status MemTransport::Send(Packet packet) {
       if (!faults_->ShouldDeliver(packet.from, packet.to, &send_rng_)) {
         return OkStatus();  // dropped
       }
-      delay = std::chrono::microseconds(
-          static_cast<int64_t>(faults_->SampleDelay(&send_rng_) * 1e6));
+      delay = std::chrono::microseconds(static_cast<int64_t>(
+          faults_->SampleDelay(packet.from, packet.to, &send_rng_) * 1e6));
     }
     auto it = mailboxes_.find(packet.to);
     if (it == mailboxes_.end()) {

@@ -126,14 +126,6 @@ bool FaultPlan::ShouldDeliver(SiteId from, SiteId to, Rng* rng) const {
   return true;
 }
 
-double FaultPlan::SampleDelay(Rng* rng) const {
-  MutexLock lock(&mu_);
-  if (delay_max_ <= delay_min_) {
-    return delay_min_;
-  }
-  return delay_min_ + rng->NextDouble() * (delay_max_ - delay_min_);
-}
-
 double FaultPlan::SampleDelay(SiteId from, SiteId to, Rng* rng) const {
   MutexLock lock(&mu_);
   double lo = delay_min_;

@@ -104,10 +104,9 @@ class FaultPlan {
 
   // Decision point: should a packet sent now be delivered?
   bool ShouldDeliver(SiteId from, SiteId to, Rng* rng) const;
-  double SampleDelay(Rng* rng) const;
-  // Link-aware variant: honours SetLinkDelayRange overrides. With no
-  // override installed for the link it is draw-for-draw identical to
-  // the default SampleDelay, so existing schedules are unperturbed.
+  // Delay for a packet `from` -> `to`: the link's SetLinkDelayRange
+  // override if one is installed, else the default range. Draws one
+  // NextDouble() unless the range is a single point (then none).
   double SampleDelay(SiteId from, SiteId to, Rng* rng) const;
 
   double min_delay() const;

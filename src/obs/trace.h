@@ -11,8 +11,9 @@
 //
 // Cost contract: tracing must be free when no sink is attached. Every
 // emission point is guarded by a single null-pointer check before any
-// event is constructed; bench_throughput verifies the no-sink path shows
-// no measurable regression.
+// event is constructed; perfbench's `trace.overhead` row (traced over
+// untraced goodput) verifies the no-sink path shows no measurable
+// regression.
 //
 // Event ordering: on the deterministic simulator, events are appended in
 // execution order, which is causal order — the auditor relies on the

@@ -1,48 +1,11 @@
 #include "src/svc/front_door.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/system/retry.h"
 
 namespace polyvalue {
-
-void ExportSvcMetrics(const AdmissionController& admission,
-                      const RetryBudget& budget,
-                      const SvcCounters& counters,
-                      const LogHistogram& latency,
-                      MetricsRegistry* registry) {
-  registry->SetCounter("svc.admitted", admission.admitted());
-  registry->SetCounter("svc.shed", admission.shed());
-  registry->SetCounter("svc.shed_rate", admission.shed_rate());
-  registry->SetCounter("svc.shed_capacity", admission.shed_capacity());
-  registry->SetCounter("svc.committed",
-                       counters.committed.load(std::memory_order_relaxed));
-  registry->SetCounter("svc.aborted",
-                       counters.aborted.load(std::memory_order_relaxed));
-  registry->SetCounter(
-      "svc.deadline_exceeded",
-      counters.deadline_exceeded.load(std::memory_order_relaxed));
-  registry->SetCounter(
-      "svc.retry_budget_denied",
-      counters.budget_exhausted.load(std::memory_order_relaxed));
-  registry->SetCounter("svc.retries",
-                       counters.retries.load(std::memory_order_relaxed));
-  registry->SetCounter("svc.latency_count", latency.count());
-  registry->Gauge("svc.inflight",
-                  static_cast<double>(admission.inflight()));
-  registry->Gauge("svc.retry_budget_balance", budget.balance());
-  registry->Gauge("svc.latency_p50", latency.Percentile(50));
-  registry->Gauge("svc.latency_p95", latency.Percentile(95));
-  registry->Gauge("svc.latency_p99", latency.Percentile(99));
-  registry->Gauge("svc.latency_p999", latency.Percentile(99.9));
-}
-
-// ------------------------------------------------------------------
-// SimFrontDoor
-// ------------------------------------------------------------------
 
 struct SimFrontDoor::Request {
   size_t coordinator = 0;
@@ -231,6 +194,7 @@ void SimFrontDoor::Settle(const std::shared_ptr<Request>& req,
   if (txn != nullptr) {
     result.txn = *txn;
   }
+  result.last_txn = req->last_txn;
   result.attempts = req->attempts;
   result.latency = latency;
   if (req->done) {
@@ -260,131 +224,31 @@ SvcResult SimFrontDoor::CallAndRun(size_t coordinator,
   return *out;
 }
 
-// ------------------------------------------------------------------
-// ThreadFrontDoor
-// ------------------------------------------------------------------
-
-ThreadFrontDoor::ThreadFrontDoor(ThreadCluster* cluster, SvcOptions options)
-    : cluster_(cluster),
-      options_(options),
-      admission_(options.admission),
-      budget_(options.retry_budget),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-double ThreadFrontDoor::Now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-void ThreadFrontDoor::Emit(TraceEventType type, SiteId site, TxnId txn,
-                           bool flag, uint64_t arg) {
-  if (options_.trace == nullptr) {
-    return;
-  }
-  TraceEvent event;
-  event.time = Now();
-  event.type = type;
-  event.site = site;
-  event.txn = txn;
-  event.flag = flag;
-  event.arg = arg;
-  options_.trace->Emit(event);
-}
-
-SvcResult ThreadFrontDoor::Call(size_t coordinator,
-                                std::function<TxnSpec()> make_spec) {
-  return Call(coordinator, std::move(make_spec),
-              options_.default_deadline);
-}
-
-SvcResult ThreadFrontDoor::Call(size_t coordinator,
-                                std::function<TxnSpec()> make_spec,
-                                double deadline_seconds) {
-  const SiteId site = cluster_->site_id(coordinator);
-  const double admit_time = Now();
-  bool rate_limited = false;
-  Status admit = admission_.Admit(admit_time, &rate_limited);
-  SvcResult result;
-  if (!admit.ok()) {
-    Emit(TraceEventType::kSvcShed, site, TxnId(), rate_limited,
-         admission_.inflight());
-    result.status = std::move(admit);
-    return result;
-  }
-  Emit(TraceEventType::kSvcAdmitted, site, TxnId(), /*flag=*/false,
-       admission_.inflight());
-  const double deadline = admit_time + deadline_seconds;
-  Rng jitter(options_.seed +
-             next_request_.fetch_add(1, std::memory_order_relaxed));
-  double prev_backoff = options_.initial_backoff;
-  TxnId last_txn;
-  // Settlement bookkeeping shared by every exit path below.
-  auto settle = [&](Status status,
-                    const std::optional<TxnResult>& txn) -> SvcResult {
-    const double latency = Now() - admit_time;
-    latency_.Add(latency);
-    admission_.Release();
-    if (status.ok()) {
-      counters_.committed.fetch_add(1, std::memory_order_relaxed);
-    } else if (status.code() == StatusCode::kDeadlineExceeded) {
-      counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      Emit(TraceEventType::kSvcDeadlineExceeded, site, last_txn,
-           /*flag=*/false, static_cast<uint64_t>(result.attempts));
-    } else if (status.code() == StatusCode::kResourceExhausted) {
-      counters_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.aborted.fetch_add(1, std::memory_order_relaxed);
-    }
-    result.status = std::move(status);
-    result.txn = txn;
-    result.latency = latency;
-    return result;
-  };
-  for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    const double remaining = deadline - Now();
-    if (remaining <= 0.0) {
-      return settle(DeadlineExceededError("deadline expired"),
-                    std::nullopt);
-    }
-    result.attempts = attempt;
-    if (attempt == 1) {
-      budget_.OnAttempt();
-    }
-    std::optional<TxnResult> r = cluster_->SubmitAndWait(
-        coordinator, make_spec(), remaining);
-    if (!r.has_value()) {
-      // SubmitAndWait timed out: the deadline budget is gone even if
-      // the transaction eventually resolves behind our back.
-      return settle(DeadlineExceededError("deadline expired in flight"),
-                    std::nullopt);
-    }
-    last_txn = r->id;
-    if (r->committed()) {
-      return settle(OkStatus(), r);
-    }
-    if (attempt >= options_.max_attempts) {
-      return settle(
-          AbortedError("attempts exhausted: " + r->abort_reason), r);
-    }
-    if (!budget_.TrySpend()) {
-      return settle(ResourceExhaustedError("retry budget exhausted"), r);
-    }
-    const double backoff = DecorrelatedJitterBackoff(
-        &jitter, options_.initial_backoff, options_.max_backoff,
-        prev_backoff);
-    prev_backoff = backoff;
-    if (Now() + backoff >= deadline) {
-      return settle(
-          DeadlineExceededError("no deadline budget left for a retry"), r);
-    }
-    counters_.retries.fetch_add(1, std::memory_order_relaxed);
-    Emit(TraceEventType::kSvcRetry, site, r->id, /*flag=*/true,
-         static_cast<uint64_t>(attempt));
-    std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-  }
-  POLYV_CHECK(false);  // the loop always settles via an exit path above
-  return result;
+void SimFrontDoor::ExportMetrics(MetricsRegistry* registry) const {
+  registry->SetCounter("svc.admitted", admission_.admitted());
+  registry->SetCounter("svc.shed", admission_.shed());
+  registry->SetCounter("svc.shed_rate", admission_.shed_rate());
+  registry->SetCounter("svc.shed_capacity", admission_.shed_capacity());
+  registry->SetCounter("svc.committed",
+                       counters_.committed.load(std::memory_order_relaxed));
+  registry->SetCounter("svc.aborted",
+                       counters_.aborted.load(std::memory_order_relaxed));
+  registry->SetCounter(
+      "svc.deadline_exceeded",
+      counters_.deadline_exceeded.load(std::memory_order_relaxed));
+  registry->SetCounter(
+      "svc.retry_budget_denied",
+      counters_.budget_exhausted.load(std::memory_order_relaxed));
+  registry->SetCounter("svc.retries",
+                       counters_.retries.load(std::memory_order_relaxed));
+  registry->SetCounter("svc.latency_count", latency_.count());
+  registry->Gauge("svc.inflight",
+                  static_cast<double>(admission_.inflight()));
+  registry->Gauge("svc.retry_budget_balance", budget_.balance());
+  registry->Gauge("svc.latency_p50", latency_.Percentile(50));
+  registry->Gauge("svc.latency_p95", latency_.Percentile(95));
+  registry->Gauge("svc.latency_p99", latency_.Percentile(99));
+  registry->Gauge("svc.latency_p999", latency_.Percentile(99.9));
 }
 
 }  // namespace polyvalue

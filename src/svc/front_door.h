@@ -28,17 +28,13 @@
 // `svc_admitted` / `svc_shed` / `svc_deadline_exceeded` / `svc_retry`
 // events (docs/OBSERVABILITY.md).
 //
-// Two variants share all of the above:
-//   SimFrontDoor    — asynchronous, on SimCluster's virtual clock;
-//                     fully deterministic per seed, so overload
-//                     behaviour is a unit test, not an anecdote.
-//   ThreadFrontDoor — blocking, wall clock, on ThreadCluster; the
-//                     shape a real client library would use.
+// SimFrontDoor runs asynchronously on SimCluster's virtual clock; it is
+// fully deterministic per seed, so overload behaviour is a unit test,
+// not an anecdote.
 #ifndef SRC_SVC_FRONT_DOOR_H_
 #define SRC_SVC_FRONT_DOOR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -72,14 +68,24 @@ struct SvcOptions {
 
 // What the serving layer tells the client. `status` is OK on commit
 // (including read-only), RESOURCE_EXHAUSTED when shed at admission or
-// denied by the retry budget, DEADLINE_EXCEEDED when the deadline
-// budget ran out, ABORTED when every permitted attempt aborted.
+// denied by the retry budget, ABORTED when every permitted attempt
+// aborted, and DEADLINE_EXCEEDED when the deadline budget ran out.
+//
+// DEADLINE_EXCEEDED means "outcome unknown", not "no effect": the
+// deadline can fire while an attempt is still in flight, and that
+// attempt may yet commit. The commit protocol, not the client's timer,
+// decides the outcome; look up `last_txn` (for example with
+// Site::DecidedOutcome at the coordinator once the cluster settles) to
+// learn it. No decision record there means presumed abort.
 struct SvcResult {
   Status status;
   // The final transaction result, when an attempt reached a terminal
   // disposition (absent for sheds and for deadlines that fired before
   // any attempt resolved).
   std::optional<TxnResult> txn;
+  // The id of the last attempt submitted; invalid when no attempt
+  // started (sheds, deadlines spent at submit).
+  TxnId last_txn;
   int attempts = 0;
   // Admission-to-settlement seconds (0 for sheds, which never enter).
   double latency = 0.0;
@@ -89,8 +95,8 @@ struct SvcResult {
 
 using SvcCallback = std::function<void(const SvcResult&)>;
 
-// Settlement counters shared by both front doors (all post-admission;
-// admission's own counters live in AdmissionController).
+// Settlement counters (all post-admission; admission's own counters
+// live in AdmissionController).
 struct SvcCounters {
   std::atomic<uint64_t> committed{0};
   std::atomic<uint64_t> aborted{0};
@@ -98,14 +104,6 @@ struct SvcCounters {
   std::atomic<uint64_t> budget_exhausted{0};
   std::atomic<uint64_t> retries{0};
 };
-
-// Publishes the `svc.*` metric family (docs/OBSERVABILITY.md) from one
-// front door's state into `registry`.
-void ExportSvcMetrics(const AdmissionController& admission,
-                      const RetryBudget& budget,
-                      const SvcCounters& counters,
-                      const LogHistogram& latency,
-                      MetricsRegistry* registry);
 
 // Deterministic, asynchronous front door over SimCluster. Calls are
 // settled by simulator events; drive the simulator (RunFor / RunAll /
@@ -145,9 +143,9 @@ class SimFrontDoor {
   const LogHistogram& latency() const { return latency_; }
   const SvcCounters& counters() const { return counters_; }
 
-  void ExportMetrics(MetricsRegistry* registry) const {
-    ExportSvcMetrics(admission_, budget_, counters_, latency_, registry);
-  }
+  // Publishes the `svc.*` metric family (docs/OBSERVABILITY.md) into
+  // `registry`.
+  void ExportMetrics(MetricsRegistry* registry) const;
 
  private:
   struct Request;
@@ -170,41 +168,6 @@ class SimFrontDoor {
   LogHistogram latency_;
   SvcCounters counters_;
   uint64_t next_request_ = 0;  // decorrelates per-request jitter streams
-};
-
-// Blocking front door over ThreadCluster: Call() returns when the
-// request settles. Thread-safe; admission and the retry budget are the
-// shared state, everything else is per-call.
-class ThreadFrontDoor {
- public:
-  ThreadFrontDoor(ThreadCluster* cluster, SvcOptions options);
-
-  SvcResult Call(size_t coordinator, std::function<TxnSpec()> make_spec);
-  SvcResult Call(size_t coordinator, std::function<TxnSpec()> make_spec,
-                 double deadline_seconds);
-
-  const AdmissionController& admission() const { return admission_; }
-  const RetryBudget& retry_budget() const { return budget_; }
-  const LogHistogram& latency() const { return latency_; }
-  const SvcCounters& counters() const { return counters_; }
-
-  void ExportMetrics(MetricsRegistry* registry) const {
-    ExportSvcMetrics(admission_, budget_, counters_, latency_, registry);
-  }
-
- private:
-  double Now() const;  // steady seconds since construction
-  void Emit(TraceEventType type, SiteId site, TxnId txn, bool flag,
-            uint64_t arg);
-
-  ThreadCluster* cluster_;
-  SvcOptions options_;
-  AdmissionController admission_;
-  RetryBudget budget_;
-  LogHistogram latency_;
-  SvcCounters counters_;
-  std::atomic<uint64_t> next_request_{0};
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace polyvalue

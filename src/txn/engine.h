@@ -231,7 +231,7 @@ class TxnEngine : public CommitProtocol {
   // Optional observability: every lifecycle transition is emitted to
   // `sink` (src/obs/trace.h). Attach before traffic; the engine does not
   // own the sink. With no sink attached every emission point is a single
-  // null-pointer check (verified free by bench_throughput).
+  // null-pointer check (verified free by perfbench's `trace.overhead`).
   void AttachTrace(TraceSink* sink) {
     MutexLock lock(&mu_);
     trace_ = sink;

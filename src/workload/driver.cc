@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/replica/consistency.h"
@@ -128,6 +129,16 @@ ClusterWorkloadReport ClusterWorkload::Run() {
   // of requests in flight (an open-loop client can overlap itself).
   std::unordered_map<uint64_t, uint32_t> tracked;
 
+  // DEADLINE_EXCEEDED means "outcome unknown": the attempt in flight
+  // when the deadline fired may still commit. Each such answer is kept
+  // and resolved against the coordinator's decision after the drain.
+  struct UnknownOutcome {
+    size_t coordinator;
+    TxnId txn;
+    int64_t delta;
+  };
+  std::vector<UnknownOutcome> unknown;
+
   // The arrival pump: one scheduled event per arrival, self-extending,
   // so the event queue never holds more than the next arrival.
   std::function<void(double)> pump = [&](double at) {
@@ -180,7 +191,7 @@ ClusterWorkloadReport ClusterWorkload::Run() {
       door_->CallAsClient(
           client, coordinator, [spec_holder] { return *spec_holder; },
           params_.deadline,
-          [this, &report, &tracked, client, shape, delta,
+          [this, &report, &tracked, &unknown, client, shape, delta,
            coordinator](const SvcResult& r) {
             --report.unsettled;
             auto it = tracked.find(client);
@@ -224,6 +235,9 @@ ClusterWorkloadReport ClusterWorkload::Run() {
               }
             } else if (r.status.code() == StatusCode::kDeadlineExceeded) {
               ++report.deadline_exceeded;
+              if (r.attempts > 0) {
+                unknown.push_back({coordinator, r.last_txn, delta});
+              }
             } else if (r.status.code() == StatusCode::kResourceExhausted) {
               if (r.attempts == 0) {
                 ++report.shed;
@@ -287,6 +301,16 @@ ClusterWorkloadReport ClusterWorkload::Run() {
   const EngineMetrics metrics = cluster_->TotalMetrics();
   report.polyvalue_installs = metrics.polyvalue_installs;
   report.polyvalues_resolved = metrics.polyvalues_resolved;
+
+  // Late commits: a deadline answer whose attempt the coordinator
+  // decided to commit applied its delta too. No decision record at the
+  // coordinator is presumed abort, which applied nothing.
+  for (const UnknownOutcome& u : unknown) {
+    const Site& coordinator = cluster_->site(u.coordinator);
+    if (coordinator.DecidedOutcome(u.txn).value_or(false)) {
+      report.conservation_drift -= u.delta;
+    }
+  }
 
   // Conservation: final total == initial total + committed deltas.
   // report.conservation_drift already holds -sum(committed deltas).

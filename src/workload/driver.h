@@ -121,8 +121,10 @@ struct ClusterWorkloadReport {
   uint64_t final_uncertain_items = 0;
 
   // Conservation audit: final total balance minus (initial total +
-  // committed increment deltas). INT64_MAX when any item stayed
-  // unresolved. Nonzero = atomicity violation.
+  // committed increment deltas). A DEADLINE_EXCEEDED answer counts its
+  // delta when the coordinator decided its last attempt committed.
+  // INT64_MAX when any item stayed unresolved. Nonzero = atomicity
+  // violation.
   int64_t conservation_drift = 0;
 
   // O(in-flight) evidence: the most clients simultaneously tracked and

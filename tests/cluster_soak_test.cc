@@ -144,9 +144,51 @@ INSTANTIATE_TEST_SUITE_P(
         SoakCase{"write_heavy_flap_lossy", KeyDistKind::kUniform,
                  ArrivalCurveKind::kHerd, &WriteHeavyMix, true, false,
                  0.02}),
-    [](const ::testing::TestParamInfo<SoakCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<SoakCase>& param_info) {
+      return param_info.param.name;
     });
+
+// DEADLINE_EXCEEDED means "outcome unknown": a deadline shorter than
+// one commit's four 20 ms hops fires while every distributed attempt is
+// still in flight, and those attempts then commit. The conservation
+// audit must count them by asking the coordinator for the decision.
+TEST(LateCommitTest, DeadlineBeforeCommitLeavesNoDrift) {
+  ClusterWorkloadParams params;
+  params.sites = 2;
+  params.keys = 16;
+  params.min_delay = 0.02;
+  params.max_delay = 0.02;
+  params.virtual_clients = 1000;
+  params.arrival.kind = ArrivalCurveKind::kConstant;
+  params.arrival.rate = 5.0;
+  params.mix = MixParams{0.0, 0.0, 1.0, 0.0};  // increments only
+  params.duration = 4.0;
+  params.settle_time = 2.0;
+  params.deadline = 0.05;
+  params.seed = 7;
+
+  ClusterWorkload wl(params);
+  const ClusterWorkloadReport report = wl.Run();
+  SCOPED_TRACE(report.Summary());
+  ASSERT_TRUE(report.ExactlyOnce());
+  ASSERT_GT(report.deadline_exceeded, 0u);
+
+  // Late commits really happened: the balances moved by more than the
+  // requests answered OK could account for.
+  int64_t total = 0;
+  for (size_t s = 0; s < params.sites; ++s) {
+    wl.cluster().site(s).store().ForEach(
+        [&total](const ItemKey&, const PolyValue& value) {
+          total += value.certain_value().int_value();
+        });
+  }
+  const int64_t initial =
+      params.initial_balance * static_cast<int64_t>(params.keys);
+  EXPECT_GT(total - initial, static_cast<int64_t>(report.committed * 5));
+
+  EXPECT_EQ(report.conservation_drift, 0);
+  EXPECT_EQ(report.final_uncertain_items, 0u);
+}
 
 }  // namespace
 }  // namespace polyvalue

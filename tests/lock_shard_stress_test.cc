@@ -194,10 +194,13 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
   EXPECT_EQ(hot_committed.load(), kClients);
 
   // Settle, then audit: every disjoint key is exactly 1 and the hot keys
-  // sum to the number of committed hot increments (no lost updates).
+  // sum to the number of committed hot increments (no lost updates). The
+  // client hears a commit at the coordinator's decision, before the
+  // owner's COMPLETE installs it, so settling also waits for the locks.
   const auto settled = [&cluster] {
     for (size_t s = 0; s < 4; ++s) {
-      if (cluster.site(s).store().UncertainCount() != 0) {
+      if (cluster.site(s).store().UncertainCount() != 0 ||
+          cluster.site(s).store().locked_count() != 0) {
         return false;
       }
     }

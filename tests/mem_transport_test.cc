@@ -79,7 +79,7 @@ TEST(MemTransportTest, HandlerMaySendReentrantly) {
   std::atomic<int> pongs{0};
   ASSERT_TRUE(transport
                   .Register(kA,
-                            [&](Packet p) {
+                            [&](const Packet& p) {
                               if (p.payload == "pong") {
                                 ++pongs;
                               }
@@ -128,6 +128,24 @@ TEST(MemTransportTest, DelayedDeliveryRespectsDeadline) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(got.load(), 1);
   EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.045);
+}
+
+// A per-link override (the WAN model's substrate) applies on the
+// threaded runtime exactly as on the simulator.
+TEST(MemTransportTest, LinkDelayOverrideApplies) {
+  FaultPlan faults;
+  faults.SetDelayRange(0, 0);
+  faults.SetLinkDelayRange(kA, kB, 0.05, 0.05);
+  MemTransport transport(&faults);
+  std::atomic<int> got{0};
+  ASSERT_TRUE(transport.Register(kA, [](Packet) {}).ok());
+  ASSERT_TRUE(transport.Register(kB, [&](Packet) { ++got; }).ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(transport.Send({kA, kB, "wan"}).ok());
+  transport.Flush();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.05);
 }
 
 TEST(MemTransportTest, UnregisterIsCleanWhileTrafficFlows) {

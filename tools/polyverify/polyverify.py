@@ -174,12 +174,6 @@ DETERMINISTIC_DIRS = ("src/event/", "src/sim/", "src/workload/",
                       "src/svc/", "src/replica/")
 DETERMINISTIC_BASENAMES = ("sim_transport", "bench_cluster",
                            "bench_availability", "bench_georep")
-# Classes that block BY CONTRACT: ThreadFrontDoor is the real-thread
-# adapter (its retry backoff sleeps deliberately) and is never driven
-# from the simulator — SimFrontDoor is the deterministic twin. Its own
-# sanctioned primitives don't taint it, but any blocking call it
-# reaches through OTHER classes still does.
-BLOCKING_BY_CONTRACT = ("ThreadFrontDoor",)
 
 SW01_ENUMS = ("MsgType", "TraceEventType")
 
@@ -551,8 +545,6 @@ def check_cg01(root, sources):
     def primitive_check(fn, name):
         if name in BLOCKING_PRIMITIVES:
             if name in WAL_EXEMPT and fn.cls == "Wal":
-                return "skip"
-            if fn.cls in BLOCKING_BY_CONTRACT:
                 return "skip"
             return "taint"
         return None

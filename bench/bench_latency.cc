@@ -118,12 +118,12 @@ Point RunPoint(double offered_rps, bool admission_on) {
   point.offered_rps = offered_rps;
   point.offered = offered;
   point.admitted = door.admission().admitted();
-  point.committed = door.counters().committed.load();
+  point.committed = door.counters().committed;
   point.shed = door.admission().shed();
-  point.deadline_exceeded = door.counters().deadline_exceeded.load();
-  point.budget_exhausted = door.counters().budget_exhausted.load();
-  point.aborted = door.counters().aborted.load();
-  point.retries = door.counters().retries.load();
+  point.deadline_exceeded = door.counters().deadline_exceeded;
+  point.budget_exhausted = door.counters().budget_exhausted;
+  point.aborted = door.counters().aborted;
+  point.retries = door.counters().retries;
   point.goodput = static_cast<double>(point.committed) / kDuration;
   point.shed_fraction = offered == 0
                             ? 0.0

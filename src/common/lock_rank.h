@@ -59,12 +59,14 @@
 //                      same discipline as kEngine (Outbox after
 //                      unlock), ordered after it so a site hosting
 //                      both legs can never invert them.
-//   kScheduler         ThreadScheduler's timer map; ScheduleAfter and
-//                      Cancel run under the engine mutex. ScheduleAfter
-//                      holds it for one map insert, Cancel for a scan of
-//                      the pending timers (about ten per site); the
-//                      worker is woken after unlock, and only for a new
-//                      earliest deadline.
+//   kScheduler         ThreadScheduler's timer map, one per site on
+//                      ThreadCluster, so only a site's own engine and
+//                      timer thread meet on it. ScheduleAfter and Cancel
+//                      run under the engine mutex. ScheduleAfter holds it
+//                      for one map insert, Cancel for a scan of the
+//                      site's few pending timers; the worker is woken
+//                      after unlock, and only for a deadline before its
+//                      own next wake-up.
 //   kStoreLockPlane    item-store lock plane (disjoint from shards by
 //                      design, ordered before them for safety).
 //   kStoreShard        item-store data shards (locked one at a time).

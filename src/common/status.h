@@ -43,7 +43,7 @@ const char* StatusCodeName(StatusCode code);
 // callers must check it or cast to void with a reason.
 class [[nodiscard]] Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  constexpr Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
@@ -84,6 +84,13 @@ Status InternalError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status DeadlineExceededError(std::string message);
 
+// What Result::status() returns when it holds a value. Constant-
+// initialised, so reading it takes no initialisation guard: GCC 12
+// assumes a guard call may change a Result's variant index, and then
+// warns (-Wmaybe-uninitialized) in the destructor of every Result<T>
+// whose status() it inlined.
+inline constinit const Status kOkStatus;
+
 // Result<T> holds either a value or an error Status. Accessing the value
 // of an error Result aborts the process (it is a programming error).
 template <typename T>
@@ -95,7 +102,6 @@ class [[nodiscard]] Result {
   bool ok() const { return std::holds_alternative<T>(payload_); }
 
   const Status& status() const {
-    static const Status kOkStatus;
     if (ok()) {
       return kOkStatus;
     }

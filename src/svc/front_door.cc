@@ -154,7 +154,7 @@ void SimFrontDoor::OnTxnDone(const std::shared_ptr<Request>& req,
            &r);
     return;
   }
-  counters_.retries.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.retries;
   Emit(TraceEventType::kSvcRetry, req->site, r.id, /*flag=*/true,
        static_cast<uint64_t>(req->attempts));
   cluster_->sim().After(backoff, [this, req] { StartAttempt(req); });
@@ -179,15 +179,15 @@ void SimFrontDoor::Settle(const std::shared_ptr<Request>& req,
   admission_.Release();
   const TxnId txn_id = txn != nullptr ? txn->id : req->last_txn;
   if (status.ok()) {
-    counters_.committed.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.committed;
   } else if (status.code() == StatusCode::kDeadlineExceeded) {
-    counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.deadline_exceeded;
     Emit(TraceEventType::kSvcDeadlineExceeded, req->site, txn_id,
          /*flag=*/false, static_cast<uint64_t>(req->attempts));
   } else if (status.code() == StatusCode::kResourceExhausted) {
-    counters_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.budget_exhausted;
   } else {
-    counters_.aborted.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.aborted;
   }
   SvcResult result;
   result.status = std::move(status);
@@ -229,18 +229,11 @@ void SimFrontDoor::ExportMetrics(MetricsRegistry* registry) const {
   registry->SetCounter("svc.shed", admission_.shed());
   registry->SetCounter("svc.shed_rate", admission_.shed_rate());
   registry->SetCounter("svc.shed_capacity", admission_.shed_capacity());
-  registry->SetCounter("svc.committed",
-                       counters_.committed.load(std::memory_order_relaxed));
-  registry->SetCounter("svc.aborted",
-                       counters_.aborted.load(std::memory_order_relaxed));
-  registry->SetCounter(
-      "svc.deadline_exceeded",
-      counters_.deadline_exceeded.load(std::memory_order_relaxed));
-  registry->SetCounter(
-      "svc.retry_budget_denied",
-      counters_.budget_exhausted.load(std::memory_order_relaxed));
-  registry->SetCounter("svc.retries",
-                       counters_.retries.load(std::memory_order_relaxed));
+  registry->SetCounter("svc.committed", counters_.committed);
+  registry->SetCounter("svc.aborted", counters_.aborted);
+  registry->SetCounter("svc.deadline_exceeded", counters_.deadline_exceeded);
+  registry->SetCounter("svc.retry_budget_denied", counters_.budget_exhausted);
+  registry->SetCounter("svc.retries", counters_.retries);
   registry->SetCounter("svc.latency_count", latency_.count());
   registry->Gauge("svc.inflight",
                   static_cast<double>(admission_.inflight()));

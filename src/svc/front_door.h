@@ -34,7 +34,6 @@
 #ifndef SRC_SVC_FRONT_DOOR_H_
 #define SRC_SVC_FRONT_DOOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -98,11 +97,11 @@ using SvcCallback = std::function<void(const SvcResult&)>;
 // Settlement counters (all post-admission; admission's own counters
 // live in AdmissionController).
 struct SvcCounters {
-  std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> aborted{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> budget_exhausted{0};
-  std::atomic<uint64_t> retries{0};
+  uint64_t committed = 0;
+  uint64_t aborted = 0;
+  uint64_t deadline_exceeded = 0;
+  uint64_t budget_exhausted = 0;
+  uint64_t retries = 0;
 };
 
 // Deterministic, asynchronous front door over SimCluster. Calls are

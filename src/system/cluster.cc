@@ -159,6 +159,7 @@ ThreadCluster::ThreadCluster(Options options)
         std::make_unique<MemTransport>(options_.faults, options_.seed);
     transport_ = owned_transport_.get();
   }
+  schedulers_.reserve(options_.site_count);
   sites_.reserve(options_.site_count);
   for (size_t i = 0; i < options_.site_count; ++i) {
     Site::Options site_options;
@@ -170,8 +171,9 @@ ThreadCluster::ThreadCluster(Options options)
       site_options.wal_path = StrCat(options_.wal_dir, "/site", i, ".wal");
       site_options.wal = options_.wal;
     }
+    schedulers_.push_back(std::make_unique<ThreadScheduler>());
     auto site = std::make_unique<Site>(site_id(i), transport_,
-                                       &scheduler_, site_options);
+                                       schedulers_.back().get(), site_options);
     POLYV_CHECK(site->Start().ok());
     sites_.push_back(std::move(site));
   }

@@ -4,8 +4,10 @@
 // SimCluster — deterministic: sites share one discrete-event simulator
 //              and a SimTransport; a run is reproducible from its seed.
 // ThreadCluster — real concurrency: MemTransport (or any Transport) plus
-//              a wall-clock ThreadScheduler; used by stress/integration
-//              tests and the TCP demo.
+//              one wall-clock ThreadScheduler per site, so each site
+//              arms its timeouts on its own timer thread and mutex;
+//              used by stress/integration tests, perfbench and the TCP
+//              demo.
 #ifndef SRC_SYSTEM_CLUSTER_H_
 #define SRC_SYSTEM_CLUSTER_H_
 
@@ -145,7 +147,9 @@ class ThreadCluster {
   Options options_;
   std::unique_ptr<MemTransport> owned_transport_;
   Transport* transport_;  // owned or external
-  ThreadScheduler scheduler_;
+  // schedulers_[i] is site i's; declared before sites_ so it outlives
+  // them.
+  std::vector<std::unique_ptr<ThreadScheduler>> schedulers_;
   std::vector<std::unique_ptr<Site>> sites_;
 };
 

@@ -4,7 +4,19 @@
 
 namespace polyvalue {
 
-ThreadScheduler::ThreadScheduler() : epoch_(Clock::now()) {
+namespace {
+
+// One time base for every ThreadScheduler in the process, so Now() and
+// the trace timestamps built from it compare across the sites of a
+// cluster, each of which has its own scheduler.
+std::chrono::steady_clock::time_point ProcessEpoch() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return epoch;
+}
+
+}  // namespace
+
+ThreadScheduler::ThreadScheduler() : epoch_(ProcessEpoch()) {
   worker_ = std::thread([this] { Loop(); });
 }
 
@@ -29,17 +41,20 @@ Scheduler::TimerId ThreadScheduler::ScheduleAfter(double delay_seconds,
       Clock::now() + std::chrono::microseconds(
                          static_cast<int64_t>(delay_seconds * 1e6));
   TimerId id;
-  bool new_earliest;
+  bool wake;
   {
     MutexLock lock(&mu_);
     id = next_id_++;
-    const Timers::iterator it =
-        timers_.emplace(fire_at, Timer{id, std::move(action)});
-    new_earliest = it == timers_.begin();
+    timers_.emplace(fire_at, Timer{id, std::move(action)});
+    // The worker looks at the queue by itself at worker_wake_, so only a
+    // deadline before that needs to wake it. Timers that are scheduled
+    // and cancelled again while the worker sleeps cost no wake-up.
+    wake = fire_at < worker_wake_;
+    if (wake) {
+      worker_wake_ = fire_at;
+    }
   }
-  // The worker sleeps until the earliest deadline it saw, so only a new
-  // earliest deadline needs to wake it.
-  if (new_earliest) {
+  if (wake) {
     cv_.NotifyOne();
   }
   return id;
@@ -65,12 +80,16 @@ void ThreadScheduler::Loop() {
     }
     if (timers_.empty()) {
       // Spurious wakeups are fine: the loop head re-checks.
+      worker_wake_ = Clock::time_point::max();
       cv_.Wait(&mu_);
+      worker_wake_ = Clock::time_point::min();
       continue;
     }
     const auto next_fire = timers_.begin()->first;
     if (Clock::now() < next_fire) {
+      worker_wake_ = next_fire;
       (void)cv_.WaitUntil(&mu_, next_fire);
+      worker_wake_ = Clock::time_point::min();
       continue;
     }
     Timer timer = std::move(timers_.begin()->second);

@@ -7,6 +7,7 @@
 #ifndef SRC_TXN_SCHEDULER_H_
 #define SRC_TXN_SCHEDULER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -51,13 +52,18 @@ class SimScheduler : public Scheduler {
 
 // Wall-clock scheduler with one worker thread.
 //
-// The engines call ScheduleAfter under their protocol mutex at every
-// protocol step, and almost every such timer is cancelled before it
-// fires. So the hand-off is kept cheap: the worker sleeps until the
-// earliest pending deadline, and ScheduleAfter wakes it only when the new
-// timer becomes that earliest deadline. Cancel scans the pending timers:
-// on the perfbench workloads a site has about ten pending when Cancel
-// runs, so a scan is cheaper than keeping an index by id.
+// ThreadCluster gives each site its own ThreadScheduler, as each site of
+// the paper keeps its own timeouts, so the engines of different sites
+// never meet on this mutex. The engines call ScheduleAfter under their
+// protocol mutex at every protocol step, and almost every such timer is
+// cancelled within microseconds, so a site's queue is often empty. The
+// hand-off is kept cheap: the worker records when it will next look at
+// the queue by itself (`worker_wake_`), and ScheduleAfter wakes it only
+// for a deadline before that. A cancelled earliest timer costs the
+// worker one spurious wake-up at its old deadline. Cancel scans the
+// pending timers: a site holds only a few when Cancel runs, so a scan is
+// cheaper than keeping an index by id. All instances share one
+// process-wide epoch, so Now() compares across sites.
 class ThreadScheduler : public Scheduler {
  public:
   ThreadScheduler();
@@ -88,7 +94,11 @@ class ThreadScheduler : public Scheduler {
   // Pending timers in fire-time order. The worker removes a timer before
   // it runs the action, so Cancel of a fired id finds nothing.
   Timers timers_ GUARDED_BY(mu_);
-  Clock::time_point epoch_;
+  // When the worker will next look at the queue without being woken:
+  // max() while it waits with nothing pending, its deadline while it
+  // waits for one, min() while it is awake.
+  Clock::time_point worker_wake_ GUARDED_BY(mu_) = Clock::time_point::min();
+  Clock::time_point epoch_;  // the process-wide epoch
   std::thread worker_;
 };
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "src/common/status.h"
@@ -33,10 +34,12 @@ class Value {
   Value() : payload_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Payload(b)); }
-  static Value Int(int64_t i) { return Value(Payload(i)); }
-  static Value Real(double d) { return Value(Payload(d)); }
-  static Value Str(std::string s) { return Value(Payload(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Real(double d) { return Value(std::in_place_type<double>, d); }
+  static Value Str(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
 
   ValueType type() const {
     return static_cast<ValueType>(payload_.index());
@@ -76,7 +79,12 @@ class Value {
  private:
   using Payload =
       std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Payload payload) : payload_(std::move(payload)) {}
+  // Builds the alternative in place. GCC 12 loses track of the index of
+  // a temporary Payload moved into payload_ and, in the ASan+UBSan
+  // build, warns (-Wmaybe-uninitialized) that its string may be unset.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : payload_(type, std::forward<Arg>(arg)) {}
 
   Payload payload_;
 };

@@ -286,7 +286,7 @@ ClusterWorkloadReport ClusterWorkload::Run() {
   cluster_->RunFor(params_.settle_time);
 
   // Collect.
-  report.retries = door_->counters().retries.load();
+  report.retries = door_->counters().retries;
   report.avg_uncertain_items =
       sample_count == 0 ? 0.0 : sample_sum / static_cast<double>(sample_count);
   report.final_uncertain_items = cluster_->TotalUncertainItems();

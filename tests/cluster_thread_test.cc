@@ -297,5 +297,63 @@ TEST(ThreadClusterTest, ConcurrentAuditsSeeConservedTotals) {
   EXPECT_EQ(bad_totals.load(), 0);
 }
 
+// Every site arms its protocol timeouts on its own timer thread. With
+// 20 ms hops and a 1 ms in-doubt window, each participant's wait timer
+// fires between its READY and the COMPLETE, so the participants install
+// polyvalues, and the COMPLETE later reduces them back to certain values.
+TEST(ThreadClusterTest, InDoubtTimeoutsFireOnEverySite) {
+  FaultPlan faults;
+  faults.SetDelayRange(0.02, 0.02);
+  ThreadCluster::Options options;
+  options.site_count = 3;
+  options.engine = ThreadConfig();
+  options.engine.wait_timeout = 0.001;
+  options.faults = &faults;
+  ThreadCluster cluster(options);
+  cluster.Load(1, "a", Value::Int(100));
+  cluster.Load(2, "b", Value::Int(100));
+
+  constexpr int kTransfers = 4;
+  for (int n = 0; n < kTransfers; ++n) {
+    // Alternate the direction: a -> b, then b -> a.
+    const ItemKey from = n % 2 == 0 ? "a" : "b";
+    const ItemKey to = n % 2 == 0 ? "b" : "a";
+    TxnSpec spec;
+    spec.ReadWrite("a", cluster.site_id(1));
+    spec.ReadWrite("b", cluster.site_id(2));
+    spec.Logic([from, to](const TxnReads& reads) {
+      TxnEffect e;
+      e.writes[from] = Value::Int(reads.IntAt(from) - 10);
+      e.writes[to] = Value::Int(reads.IntAt(to) + 10);
+      return e;
+    });
+    const auto result = cluster.SubmitAndWait(0, std::move(spec));
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->committed());
+  }
+
+  for (size_t site : {size_t{1}, size_t{2}}) {
+    const EngineMetrics metrics = cluster.site(site).GetStats().engine;
+    EXPECT_GT(metrics.wait_timeouts, 0u) << "site " << site;
+    EXPECT_GT(metrics.polyvalue_installs, 0u) << "site " << site;
+  }
+  // Once the last COMPLETE has landed, every item is certain again and
+  // the transfers conserved the total.
+  auto settled = [&] {
+    const auto a = cluster.site(1).Peek("a");
+    const auto b = cluster.site(2).Peek("b");
+    return a.value().is_certain() && b.value().is_certain() &&
+           a.value().certain_value().int_value() +
+                   b.value().certain_value().int_value() ==
+               200;
+  };
+  for (int i = 0; i < 400 && !settled(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(settled());
+  EXPECT_EQ(cluster.site(1).Peek("a").value().certain_value(),
+            Value::Int(100));
+}
+
 }  // namespace
 }  // namespace polyvalue

@@ -116,6 +116,35 @@ TEST(ThreadSchedulerTest, NewEarliestDeadlineWakesWorker) {
   EXPECT_FALSE(late_fired.load());
 }
 
+// A timer that was scheduled and cancelled leaves the worker a stale
+// wake-up time. Once the worker has woken for it and found nothing, it
+// waits with nothing pending, so the next timer, however late, must wake
+// it: otherwise the 10 ms timer would never fire.
+TEST(ThreadSchedulerTest, TimerAfterIdleWakesWorker) {
+  ThreadScheduler scheduler;
+  std::atomic<bool> fired{false};
+  EXPECT_TRUE(scheduler.Cancel(scheduler.ScheduleAfter(0.01, [] {})));
+  // Let the worker wake at the cancelled deadline and go idle.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double start = scheduler.Now();
+  scheduler.ScheduleAfter(0.01, [&] { fired = true; });
+  for (int i = 0; i < 200 && !fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_LT(scheduler.Now() - start, 1.0);
+}
+
+// Every ThreadScheduler counts from one process-wide epoch, so the
+// sites of a ThreadCluster, each with its own scheduler, stamp their
+// trace events on one time line.
+TEST(ThreadSchedulerTest, SchedulersShareOneTimeBase) {
+  ThreadScheduler first;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ThreadScheduler second;
+  EXPECT_NEAR(first.Now(), second.Now(), 0.005);
+}
+
 TEST(ThreadSchedulerTest, CancelAmongManyPendingTimers) {
   ThreadScheduler scheduler;
   constexpr int kTimers = 1000;

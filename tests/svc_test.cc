@@ -135,7 +135,7 @@ TEST(SimFrontDoorTest, CommitsUncontendedCall) {
   EXPECT_TRUE(result.txn->committed());
   EXPECT_EQ(result.attempts, 1);
   EXPECT_GT(result.latency, 0.0);
-  EXPECT_EQ(door.counters().committed.load(), 1u);
+  EXPECT_EQ(door.counters().committed, 1u);
   EXPECT_EQ(door.admission().inflight(), 0u);
 }
 
@@ -162,7 +162,7 @@ TEST(SimFrontDoorTest, InflightCapShedsTyped) {
   }
   cluster.RunAll();
   ASSERT_EQ(results.size(), 5u);
-  EXPECT_EQ(door.counters().committed.load(), 2u);
+  EXPECT_EQ(door.counters().committed, 2u);
   EXPECT_EQ(door.admission().shed_capacity(), 3u);
   EXPECT_EQ(door.admission().inflight(), 0u);
 }
@@ -188,8 +188,8 @@ TEST(SimFrontDoorTest, DeadlineFiresMidRetry) {
   EXPECT_GE(result.attempts, 2);
   // Outcome unknown: the answer names the last attempt to look up.
   EXPECT_TRUE(result.last_txn.valid());
-  EXPECT_EQ(door.counters().deadline_exceeded.load(), 1u);
-  EXPECT_GE(door.counters().retries.load(), 1u);
+  EXPECT_EQ(door.counters().deadline_exceeded, 1u);
+  EXPECT_GE(door.counters().retries, 1u);
   // The settlement is on the deadline budget, give or take one backoff
   // step (the overshoot check settles early rather than sleeping past).
   EXPECT_LE(result.latency, 0.03 + 1e-9);
@@ -219,7 +219,7 @@ TEST(SimFrontDoorTest, ZeroDeadlineIsTypedDeadlineNotShed) {
   // expiry is not load shedding.
   EXPECT_EQ(door.admission().admitted(), 1u);
   EXPECT_EQ(door.admission().shed(), 0u);
-  EXPECT_EQ(door.counters().deadline_exceeded.load(), 1u);
+  EXPECT_EQ(door.counters().deadline_exceeded, 1u);
 }
 
 TEST(SimFrontDoorTest, RetryBudgetExhaustionIsTyped) {
@@ -236,7 +236,7 @@ TEST(SimFrontDoorTest, RetryBudgetExhaustionIsTyped) {
       0, [&cluster] { return ReadMissing(cluster.site_id(1)); });
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(result.attempts, 4);  // 1 first attempt + 3 budgeted retries
-  EXPECT_EQ(door.counters().budget_exhausted.load(), 1u);
+  EXPECT_EQ(door.counters().budget_exhausted, 1u);
   EXPECT_EQ(door.retry_budget().denied(), 1u);
 }
 
@@ -253,7 +253,7 @@ TEST(SimFrontDoorTest, AbortedAfterMaxAttempts) {
       0, [&cluster] { return ReadMissing(cluster.site_id(1)); });
   EXPECT_EQ(result.status.code(), StatusCode::kAborted);
   EXPECT_EQ(result.attempts, 3);
-  EXPECT_EQ(door.counters().aborted.load(), 1u);
+  EXPECT_EQ(door.counters().aborted, 1u);
 }
 
 TEST(SimFrontDoorTest, ExportsMetricsFamily) {
@@ -336,11 +336,11 @@ OverloadOutcome RunOverload(double offered_rps, double duration,
   OverloadOutcome outcome;
   outcome.offered = offered;
   outcome.goodput =
-      static_cast<double>(door.counters().committed.load()) / duration;
+      static_cast<double>(door.counters().committed) / duration;
   outcome.shed_fraction =
       static_cast<double>(door.admission().shed()) /
       static_cast<double>(offered);
-  outcome.deadline_exceeded = door.counters().deadline_exceeded.load();
+  outcome.deadline_exceeded = door.counters().deadline_exceeded;
   return outcome;
 }
 

@@ -5,8 +5,9 @@
 // eventual consistency. Gray & Lamport's Paxos Commit attacks the same
 // window from the other side: replicate the DECISION so no single
 // coordinator crash can strand a prepared participant. This bench runs
-// all three protocol legs against an identical failure schedule — a
-// coordinator site crashes mid-traffic and stays down for an outage of
+// all three protocol legs against the same failure schedule — a
+// coordinator site flaps, each crash stranding a participant that has
+// just voted (src/workload/flap.h), and stays down for an outage of
 // swept length — and quantifies the trade:
 //
 //   block       : classic blocking 2PC (§2.2) — prepared participants
@@ -24,11 +25,17 @@
 //     casting its vote and learning the outcome (wait-phase stats) —
 //     the in-doubt exposure the three designs fight over,
 //   * polyvalue installs / uncertain client outputs,
-//   * post-heal audit: residual uncertainty and conservation drift
-//     (nonzero drift = atomicity violation).
+//   * post-heal audit: residual uncertainty, conservation drift
+//     (nonzero drift = atomicity violation) and exactly-once answers.
+//
+// The load runs through the serving front door with one attempt per
+// request and no admission limit, so the comparison measures the
+// PROTOCOLS, not retries or shedding. A request stranded at the crashed
+// coordinator settles as DEADLINE_EXCEEDED, and the drift audit looks
+// up its outcome at the coordinator after the drain.
 //
 // With POLYV_AVAILABILITY_JSON=<path> the full grid is also written as
-// one consolidated JSON artifact (schema_version 1, byte-reproducible
+// one consolidated JSON artifact (schema_version 2, byte-reproducible
 // across runs: the whole sweep is a pure function of the pinned seed).
 // The exit status is the verdict: non-zero if any gated expectation in
 // Gate() fails.
@@ -38,7 +45,8 @@
 #include <string>
 #include <vector>
 
-#include "src/workload/transfer.h"
+#include "src/workload/driver.h"
+#include "src/workload/flap.h"
 
 namespace polyvalue {
 namespace {
@@ -54,28 +62,24 @@ static_assert(std::size(kProtocols) == 3, "all three protocol legs");
 struct Cell {
   double outage;
   std::string protocol;
-  WorkloadReport report;
+  ClusterWorkloadReport report;
   double commit_pct;
   double stall_mean;  // mean wait-phase seconds (vote -> outcome)
   double stall_max;
 };
 
-WorkloadParams BaseParams(double outage) {
-  WorkloadParams p;
+// Uniform all-transfer load over 96 accounts (24 per site), Poisson at
+// 80/s; about a quarter of the transfers stay on one site.
+ClusterWorkloadParams ParamsFor(const std::string& protocol) {
+  ClusterWorkloadParams p;
   p.sites = 4;
-  p.accounts_per_site = 24;
+  p.keys = 96;
   p.initial_balance = 1000;
-  p.txn_rate = 80;
+  p.arrival.rate = 80;
   p.duration = 40;
   p.settle_time = 30;
-  p.crash_site = 0;
-  p.crash_time = 4;
-  p.recover_time = 4 + outage;
-  // The crash site flaps: every crash instant is a fresh chance to catch
-  // transactions in the in-doubt window, so the measured effect is the
-  // expectation rather than one coin flip.
-  p.crash_cycles = static_cast<int>(30.0 / (outage + 1.0));
-  p.up_gap = 1.0;
+  p.deadline = 25;
+  p.svc.max_attempts = 1;
   p.seed = 1234;
   p.min_delay = 0.01;
   p.max_delay = 0.02;
@@ -83,11 +87,6 @@ WorkloadParams BaseParams(double outage) {
   p.engine.ready_timeout = 0.3;
   p.engine.wait_timeout = 0.1;
   p.engine.inquiry_interval = 0.25;
-  return p;
-}
-
-WorkloadParams ParamsFor(const std::string& protocol, double outage) {
-  WorkloadParams p = BaseParams(outage);
   if (protocol == "block") {
     p.engine.policy = InDoubtPolicy::kBlock;
   } else if (protocol == "polyvalue") {
@@ -103,13 +102,17 @@ Cell RunCell(const std::string& protocol, double outage) {
   Cell cell;
   cell.outage = outage;
   cell.protocol = protocol;
-  cell.report = RunTransferWorkload(ParamsFor(protocol, outage));
-  const WorkloadReport& r = cell.report;
+  // Site 0 flaps from t = 4 s over a 30 s failure window: every crash
+  // strands a voter, so the measured effect is the expectation rather
+  // than one coin flip.
+  const int cycles = static_cast<int>(30.0 / (outage + 1.0));
+  cell.report = StrandingFlap(outage, cycles).Run(ParamsFor(protocol));
+  const ClusterWorkloadReport& r = cell.report;
   cell.commit_pct =
-      r.outage_submitted == 0
+      r.outage_offered == 0
           ? 0.0
           : 100.0 * static_cast<double>(r.outage_committed) /
-                static_cast<double>(r.outage_submitted);
+                static_cast<double>(r.outage_offered);
   cell.stall_mean =
       r.metrics.wait_phase_count == 0
           ? 0.0
@@ -138,10 +141,13 @@ std::vector<std::string> Gate(const std::vector<Cell>& cells) {
     if (c.report.conservation_drift != 0) {
       problems.push_back(where + ": conservation drift != 0");
     }
-    if (!c.report.all_items_certain) {
+    if (c.report.final_uncertain_items != 0) {
       problems.push_back(where + ": residual uncertainty after settle");
     }
-    if (c.report.outage_submitted == 0) {
+    if (!c.report.ExactlyOnce()) {
+      problems.push_back(where + ": a request was not answered exactly once");
+    }
+    if (c.report.outage_offered == 0) {
       problems.push_back(where + ": no traffic landed in the outage");
     }
   }
@@ -173,7 +179,7 @@ std::vector<std::string> Gate(const std::vector<Cell>& cells) {
     }
     // Paxos never manufactures uncertainty: the decision completes
     // instead of being guessed around.
-    if (paxos->report.polyvalue_installs != 0 ||
+    if (paxos->report.metrics.polyvalue_installs != 0 ||
         paxos->report.uncertain_outputs != 0) {
       problems.push_back(
           "outage=" + std::to_string(static_cast<int>(outage)) +
@@ -206,7 +212,7 @@ void WriteJson(const std::string& path, const std::vector<Cell>& cells,
     std::exit(1);
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"schema_version\": 2,\n");
   std::fprintf(f, "  \"bench\": \"bench_availability\",\n");
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"seed\": 1234,\n");
@@ -220,17 +226,19 @@ void WriteJson(const std::string& path, const std::vector<Cell>& cells,
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    const WorkloadReport& r = c.report;
+    const ClusterWorkloadReport& r = c.report;
     std::fprintf(f, "    {\n");
     std::fprintf(f, "      \"outage\": %d,\n",
                  static_cast<int>(c.outage));
     std::fprintf(f, "      \"protocol\": \"%s\",\n", c.protocol.c_str());
-    std::fprintf(f, "      \"submitted\": %llu,\n",
-                 static_cast<unsigned long long>(r.submitted));
+    std::fprintf(f, "      \"offered\": %llu,\n",
+                 static_cast<unsigned long long>(r.offered));
     std::fprintf(f, "      \"committed\": %llu,\n",
                  static_cast<unsigned long long>(r.committed));
-    std::fprintf(f, "      \"outage_submitted\": %llu,\n",
-                 static_cast<unsigned long long>(r.outage_submitted));
+    std::fprintf(f, "      \"deadline_exceeded\": %llu,\n",
+                 static_cast<unsigned long long>(r.deadline_exceeded));
+    std::fprintf(f, "      \"outage_offered\": %llu,\n",
+                 static_cast<unsigned long long>(r.outage_offered));
     std::fprintf(f, "      \"outage_committed\": %llu,\n",
                  static_cast<unsigned long long>(r.outage_committed));
     std::fprintf(f, "      \"outage_commit_pct\": %.3f,\n", c.commit_pct);
@@ -250,13 +258,16 @@ void WriteJson(const std::string& path, const std::vector<Cell>& cells,
                  static_cast<unsigned long long>(
                      r.metrics.paxos_recovery_ballots));
     std::fprintf(f, "      \"polyvalue_installs\": %llu,\n",
-                 static_cast<unsigned long long>(r.polyvalue_installs));
+                 static_cast<unsigned long long>(
+                     r.metrics.polyvalue_installs));
     std::fprintf(f, "      \"uncertain_outputs\": %llu,\n",
                  static_cast<unsigned long long>(r.uncertain_outputs));
     std::fprintf(f, "      \"conservation_drift\": %lld,\n",
                  static_cast<long long>(r.conservation_drift));
+    std::fprintf(f, "      \"exactly_once\": %s,\n",
+                 r.ExactlyOnce() ? "true" : "false");
     std::fprintf(f, "      \"all_items_certain\": %s\n",
-                 r.all_items_certain ? "true" : "false");
+                 r.final_uncertain_items == 0 ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -268,11 +279,12 @@ void WriteJson(const std::string& path, const std::vector<Cell>& cells,
 int RunSweep() {
   std::printf("Availability under coordinator failure: blocking 2PC vs "
               "polyvalues vs Paxos Commit\n");
-  std::printf("(4 sites, 80 txn/s offered, flapping coordinator, outage "
-              "length swept; seed fixed)\n\n");
+  std::printf("(4 sites, 80 txn/s offered, flapping coordinator that "
+              "strands a voter\n at every crash, outage length swept; seed "
+              "fixed)\n\n");
   std::printf("%-8s %-13s | %-9s %-9s %-9s | %-8s %-10s %-10s | %-9s "
               "%-10s %-7s\n",
-              "outage", "protocol", "out.subm", "out.comm", "commit%",
+              "outage", "protocol", "out.offr", "out.comm", "commit%",
               "lat(ms)", "stall-avg", "stall-max", "poly-inst",
               "uncertain", "drift");
   std::printf("%.*s\n", 108,
@@ -283,7 +295,7 @@ int RunSweep() {
     for (const char* protocol : kProtocols) {
       cells.push_back(RunCell(protocol, outage));
       const Cell& c = cells.back();
-      const WorkloadReport& r = c.report;
+      const ClusterWorkloadReport& r = c.report;
       char drift[24];
       if (r.conservation_drift == INT64_MAX) {
         std::snprintf(drift, sizeof(drift), "UNRESOLVED");
@@ -294,11 +306,12 @@ int RunSweep() {
       std::printf("%-8.0f %-13s | %-9llu %-9llu %-9.1f | %-8.1f %-10.4f "
                   "%-10.4f | %-9llu %-10llu %-7s\n",
                   c.outage, c.protocol.c_str(),
-                  static_cast<unsigned long long>(r.outage_submitted),
+                  static_cast<unsigned long long>(r.outage_offered),
                   static_cast<unsigned long long>(r.outage_committed),
                   c.commit_pct, r.outage_latency.mean() * 1e3,
                   c.stall_mean, c.stall_max,
-                  static_cast<unsigned long long>(r.polyvalue_installs),
+                  static_cast<unsigned long long>(
+                      r.metrics.polyvalue_installs),
                   static_cast<unsigned long long>(r.uncertain_outputs),
                   drift);
     }

@@ -367,7 +367,7 @@ void AppendRun(std::string* json, const RunOutcome& run, uint64_t seed) {
       r.p99 * 1e3, r.p999 * 1e3, r.peak_uncertain_items,
       r.avg_uncertain_items,
       static_cast<unsigned long long>(r.final_uncertain_items),
-      static_cast<unsigned long long>(r.polyvalue_installs),
+      static_cast<unsigned long long>(r.metrics.polyvalue_installs),
       static_cast<long long>(r.conservation_drift),
       static_cast<unsigned long long>(r.peak_tracked_clients),
       static_cast<unsigned long long>(r.peak_inflight),

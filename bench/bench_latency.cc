@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/svc/front_door.h"
 
 namespace polyvalue {
@@ -84,7 +85,7 @@ Point RunPoint(double offered_rps, bool admission_on) {
   options.engine.lock_wait = LockWaitPolicy::kWaitDie;
   SimCluster cluster(options);
   for (int i = 0; i < kHotItems; ++i) {
-    cluster.Load(1, "h" + std::to_string(i), Value::Int(0));
+    cluster.Load(1, StrCat("h", i), Value::Int(0));
   }
   SvcOptions svc;
   if (admission_on) {
@@ -103,7 +104,7 @@ Point RunPoint(double offered_rps, bool admission_on) {
   double t = arrivals.NextExponential(1.0 / offered_rps);
   while (t < kDuration) {
     const std::string key =
-        "h" + std::to_string(pick.NextBelow(kHotItems));
+        StrCat("h", pick.NextBelow(kHotItems));
     cluster.sim().At(t, [&door, &cluster, key] {
       door.Call(0, [&cluster, key] {
         return Bump(key, cluster.site_id(1));

@@ -11,6 +11,7 @@
 //   * wire codec round trips.
 #include <benchmark/benchmark.h>
 
+#include "src/common/strings.h"
 #include "src/net/codec.h"
 #include "src/poly/poly_ops.h"
 #include "src/poly/polyvalue.h"
@@ -94,7 +95,7 @@ void BM_PolyTxnExecute(benchmark::State& state) {
   std::map<ItemKey, PolyValue> inputs;
   for (int i = 0; i < uncertain_inputs; ++i) {
     inputs.emplace(
-        "k" + std::to_string(i),
+        StrCat("k", i),
         PolyValue::InstallUncertain(TxnId(i + 1),
                                     PolyValue::Certain(Value::Int(i)),
                                     PolyValue::Certain(Value::Int(-i))));

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/common/strings.h"
 #include "src/system/cluster.h"
 
 namespace polyvalue {
@@ -41,17 +42,17 @@ Measurement Measure(size_t fan_out, double exec_ms, int txns) {
   options.engine.execution_delay = exec_ms / 1e3;
   SimCluster cluster(options);
   for (size_t s = 1; s <= fan_out; ++s) {
-    cluster.Load(s, "k" + std::to_string(s), Value::Int(0));
+    cluster.Load(s, StrCat("k", s), Value::Int(0));
   }
   for (int i = 0; i < txns; ++i) {
     TxnSpec spec;
     for (size_t s = 1; s <= fan_out; ++s) {
-      spec.ReadWrite("k" + std::to_string(s), cluster.site_id(s));
+      spec.ReadWrite(StrCat("k", s), cluster.site_id(s));
     }
     spec.Logic([fan_out](const TxnReads& reads) {
       TxnEffect e;
       for (size_t s = 1; s <= fan_out; ++s) {
-        const ItemKey key = "k" + std::to_string(s);
+        const ItemKey key = StrCat("k", s);
         e.writes[key] = Value::Int(reads.IntAt(key) + 1);
       }
       return e;

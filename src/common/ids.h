@@ -94,14 +94,21 @@ inline std::string ToString(TxnId id) {
   }
   const uint64_t site = id.value() >> kTxnSiteShift;
   const uint64_t seq = id.value() & ((1ULL << kTxnSiteShift) - 1);
+  // Built with append: GCC 12 flags `"literal" + std::to_string(..)`
+  // with a false -Wrestrict at -O3.
+  std::string out = "T";
   if (site != 0) {
-    return "T" + std::to_string(site) + "." + std::to_string(seq);
+    out.append(std::to_string(site)).append(".").append(std::to_string(seq));
+  } else {
+    out.append(std::to_string(id.value()));
   }
-  return "T" + std::to_string(id.value());
+  return out;
 }
 
 inline std::string ToString(SiteId id) {
-  return id.valid() ? "S" + std::to_string(id.value()) : "S?";
+  std::string out = "S";
+  out.append(id.valid() ? std::to_string(id.value()) : "?");
+  return out;
 }
 
 }  // namespace polyvalue

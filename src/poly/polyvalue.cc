@@ -241,7 +241,7 @@ std::string PolyValue::ToString() const {
     parts.push_back(
         StrCat(p.value.ToString(), " if ", p.condition.ToString()));
   }
-  return "{" + StrJoin(parts, "; ") + "}";
+  return StrCat("{", StrJoin(parts, "; "), "}");
 }
 
 }  // namespace polyvalue

@@ -149,43 +149,56 @@ struct EngineConfig {
   double paxos_failover_timeout = 0.3;
 };
 
+// Every EngineMetrics field, named once. COUNTER fields are uint64_t
+// totals, summed across sites and exported as counters; SECONDS fields
+// are double durations, summed and exported as gauges; MAX fields are
+// double worst cases, maxed across sites and exported as gauges. The
+// struct, Accumulate and ExportTo are all generated from this list.
+#define POLYV_ENGINE_METRICS(COUNTER, SECONDS, MAX)                        \
+  COUNTER(txns_submitted)                                                 \
+  COUNTER(txns_committed)        /* coordinator-side decisions */         \
+  COUNTER(txns_aborted)                                                   \
+  COUNTER(txns_read_only)                                                 \
+  COUNTER(polytxns)              /* executions that read >=1 polyvalue */ \
+  COUNTER(alternatives_executed)                                          \
+  COUNTER(uncertain_outputs)     /* client outputs left uncertain */      \
+  COUNTER(polyvalue_installs)    /* items made uncertain by timeouts */   \
+  COUNTER(polyvalues_resolved)   /* items reduced back to certain */      \
+  COUNTER(wait_timeouts)         /* in-doubt windows hit */               \
+  COUNTER(blocked_holds)   /* blocking policy: lock-hold episodes */      \
+  COUNTER(arbitrary_commits)     /* relaxed policy: unilateral commits */ \
+  COUNTER(outcome_inquiries)                                              \
+  COUNTER(outcome_notifies)                                               \
+  COUNTER(local_fast_path)       /* single-site txns run without 2PC */   \
+  COUNTER(lock_waits)            /* wait-die: prepares that queued */     \
+  COUNTER(lock_wait_resumes)     /* parked prepares later granted */      \
+                                                                          \
+  /* Paxos Commit leg (src/paxos/): zero on the 2PC legs. */              \
+  COUNTER(paxos_votes)           /* RM Phase2a(ballot 0) broadcasts */    \
+  COUNTER(paxos_accepts)         /* acceptor-side accepted values */      \
+  COUNTER(paxos_failovers)       /* standby-leader nudges sent */         \
+  COUNTER(paxos_recovery_ballots)  /* Phase1a rounds started */           \
+                                                                          \
+  /* Phase-duration instrumentation (§2.2: the vulnerable window should   \
+     be short relative to the computation): per-participation seconds     \
+     spent in the compute phase (PREPARE -> WRITE_REQ) and in the wait    \
+     phase (READY -> outcome learned / policy applied). */                \
+  SECONDS(compute_phase_seconds)                                          \
+  COUNTER(compute_phase_count)                                            \
+  SECONDS(wait_phase_seconds)                                             \
+  COUNTER(wait_phase_count)                                               \
+  /* Longest single wait phase: the worst in-doubt exposure any one       \
+     participant suffered. Under blocking 2PC this grows with the         \
+     outage; under Paxos Commit it is bounded by the failover timeout. */ \
+  MAX(wait_phase_max)
+
 struct EngineMetrics {
-  uint64_t txns_submitted = 0;
-  uint64_t txns_committed = 0;   // coordinator-side decisions
-  uint64_t txns_aborted = 0;
-  uint64_t txns_read_only = 0;
-  uint64_t polytxns = 0;              // executions that read >=1 polyvalue
-  uint64_t alternatives_executed = 0;
-  uint64_t uncertain_outputs = 0;     // client outputs left uncertain
-  uint64_t polyvalue_installs = 0;    // items made uncertain by timeouts
-  uint64_t polyvalues_resolved = 0;   // items reduced back to certain
-  uint64_t wait_timeouts = 0;         // in-doubt windows hit
-  uint64_t blocked_holds = 0;         // blocking policy: lock-hold episodes
-  uint64_t arbitrary_commits = 0;     // relaxed policy: unilateral commits
-  uint64_t outcome_inquiries = 0;
-  uint64_t outcome_notifies = 0;
-  uint64_t local_fast_path = 0;       // single-site txns run without 2PC
-  uint64_t lock_waits = 0;            // wait-die: prepares that queued
-  uint64_t lock_wait_resumes = 0;     // parked prepares later granted
-
-  // Paxos Commit leg (src/paxos/): zero on the 2PC legs.
-  uint64_t paxos_votes = 0;             // RM Phase2a(ballot 0) broadcasts
-  uint64_t paxos_accepts = 0;           // acceptor-side accepted values
-  uint64_t paxos_failovers = 0;         // standby-leader nudges sent
-  uint64_t paxos_recovery_ballots = 0;  // Phase1a rounds started
-
-  // Phase-duration instrumentation (§2.2: the vulnerable window should
-  // be short relative to the computation): per-participation seconds
-  // spent in the compute phase (PREPARE -> WRITE_REQ) and in the wait
-  // phase (READY -> outcome learned / policy applied).
-  double compute_phase_seconds = 0;
-  uint64_t compute_phase_count = 0;
-  double wait_phase_seconds = 0;
-  uint64_t wait_phase_count = 0;
-  // Longest single wait phase: the worst in-doubt exposure any one
-  // participant suffered. Under blocking 2PC this grows with the
-  // outage; under Paxos Commit it is bounded by the failover timeout.
-  double wait_phase_max = 0;
+#define POLYV_METRIC_U64(name) uint64_t name = 0;
+#define POLYV_METRIC_DOUBLE(name) double name = 0;
+  POLYV_ENGINE_METRICS(POLYV_METRIC_U64, POLYV_METRIC_DOUBLE,
+                       POLYV_METRIC_DOUBLE)
+#undef POLYV_METRIC_U64
+#undef POLYV_METRIC_DOUBLE
 
   // Adds `other` field-by-field (cluster-wide aggregation).
   void Accumulate(const EngineMetrics& other);

@@ -33,64 +33,21 @@ const char* ProtocolLegName(ProtocolLeg leg) {
 }
 
 void EngineMetrics::Accumulate(const EngineMetrics& other) {
-  txns_submitted += other.txns_submitted;
-  txns_committed += other.txns_committed;
-  txns_aborted += other.txns_aborted;
-  txns_read_only += other.txns_read_only;
-  polytxns += other.polytxns;
-  alternatives_executed += other.alternatives_executed;
-  uncertain_outputs += other.uncertain_outputs;
-  polyvalue_installs += other.polyvalue_installs;
-  polyvalues_resolved += other.polyvalues_resolved;
-  wait_timeouts += other.wait_timeouts;
-  blocked_holds += other.blocked_holds;
-  arbitrary_commits += other.arbitrary_commits;
-  outcome_inquiries += other.outcome_inquiries;
-  outcome_notifies += other.outcome_notifies;
-  local_fast_path += other.local_fast_path;
-  lock_waits += other.lock_waits;
-  lock_wait_resumes += other.lock_wait_resumes;
-  paxos_votes += other.paxos_votes;
-  paxos_accepts += other.paxos_accepts;
-  paxos_failovers += other.paxos_failovers;
-  paxos_recovery_ballots += other.paxos_recovery_ballots;
-  compute_phase_seconds += other.compute_phase_seconds;
-  compute_phase_count += other.compute_phase_count;
-  wait_phase_seconds += other.wait_phase_seconds;
-  wait_phase_count += other.wait_phase_count;
-  wait_phase_max = std::max(wait_phase_max, other.wait_phase_max);
+#define POLYV_METRIC_SUM(name) name += other.name;
+#define POLYV_METRIC_MAX(name) name = std::max(name, other.name);
+  POLYV_ENGINE_METRICS(POLYV_METRIC_SUM, POLYV_METRIC_SUM, POLYV_METRIC_MAX)
+#undef POLYV_METRIC_SUM
+#undef POLYV_METRIC_MAX
 }
 
 void EngineMetrics::ExportTo(MetricsRegistry* registry,
                              const std::string& prefix) const {
-  registry->SetCounter(prefix + "txns_submitted", txns_submitted);
-  registry->SetCounter(prefix + "txns_committed", txns_committed);
-  registry->SetCounter(prefix + "txns_aborted", txns_aborted);
-  registry->SetCounter(prefix + "txns_read_only", txns_read_only);
-  registry->SetCounter(prefix + "polytxns", polytxns);
-  registry->SetCounter(prefix + "alternatives_executed",
-                       alternatives_executed);
-  registry->SetCounter(prefix + "uncertain_outputs", uncertain_outputs);
-  registry->SetCounter(prefix + "polyvalue_installs", polyvalue_installs);
-  registry->SetCounter(prefix + "polyvalues_resolved", polyvalues_resolved);
-  registry->SetCounter(prefix + "wait_timeouts", wait_timeouts);
-  registry->SetCounter(prefix + "blocked_holds", blocked_holds);
-  registry->SetCounter(prefix + "arbitrary_commits", arbitrary_commits);
-  registry->SetCounter(prefix + "outcome_inquiries", outcome_inquiries);
-  registry->SetCounter(prefix + "outcome_notifies", outcome_notifies);
-  registry->SetCounter(prefix + "local_fast_path", local_fast_path);
-  registry->SetCounter(prefix + "lock_waits", lock_waits);
-  registry->SetCounter(prefix + "lock_wait_resumes", lock_wait_resumes);
-  registry->SetCounter(prefix + "paxos_votes", paxos_votes);
-  registry->SetCounter(prefix + "paxos_accepts", paxos_accepts);
-  registry->SetCounter(prefix + "paxos_failovers", paxos_failovers);
-  registry->SetCounter(prefix + "paxos_recovery_ballots",
-                       paxos_recovery_ballots);
-  registry->SetCounter(prefix + "compute_phase_count", compute_phase_count);
-  registry->SetCounter(prefix + "wait_phase_count", wait_phase_count);
-  registry->Gauge(prefix + "compute_phase_seconds", compute_phase_seconds);
-  registry->Gauge(prefix + "wait_phase_seconds", wait_phase_seconds);
-  registry->Gauge(prefix + "wait_phase_max", wait_phase_max);
+#define POLYV_METRIC_COUNTER(name) registry->SetCounter(prefix + #name, name);
+#define POLYV_METRIC_GAUGE(name) registry->Gauge(prefix + #name, name);
+  POLYV_ENGINE_METRICS(POLYV_METRIC_COUNTER, POLYV_METRIC_GAUGE,
+                       POLYV_METRIC_GAUGE)
+#undef POLYV_METRIC_COUNTER
+#undef POLYV_METRIC_GAUGE
 }
 
 TxnEngine::TxnEngine(SiteId self, ItemStore* items, OutcomeTable* outcomes,

@@ -66,7 +66,12 @@ std::string ClusterWorkloadReport::Summary() const {
       << " deadline=" << deadline_exceeded
       << " budget=" << budget_exhausted << " retries=" << retries
       << " unsettled=" << unsettled << " goodput=" << goodput
-      << " p99=" << p99 << " peak_uncertain=" << peak_uncertain_items
+      << " p99=" << p99 << " | outage: offered=" << outage_offered
+      << " committed=" << outage_committed
+      << " aborted=" << outage_aborted
+      << " | uncertain_outputs=" << uncertain_outputs
+      << " poly_installs=" << metrics.polyvalue_installs
+      << " peak_uncertain=" << peak_uncertain_items
       << " drift=" << conservation_drift
       << " peak_tracked=" << peak_tracked_clients
       << " exactly_once=" << (ExactlyOnce() ? "yes" : "NO");
@@ -179,7 +184,12 @@ ClusterWorkloadReport ClusterWorkload::Run() {
         ++report.rejected_down;
         return;
       }
+      bool in_outage = false;
+      for (size_t s = 0; s < params_.sites; ++s) {
+        in_outage = in_outage || cluster_->site(s).crashed();
+      }
       ++report.offered;
+      report.outage_offered += in_outage ? 1 : 0;
       ++report.shape_offered[static_cast<int>(shape)];
       ++report.unsettled;
       const uint64_t count = ++tracked[client];
@@ -192,15 +202,22 @@ ClusterWorkloadReport ClusterWorkload::Run() {
           client, coordinator, [spec_holder] { return *spec_holder; },
           params_.deadline,
           [this, &report, &tracked, &unknown, client, shape, delta,
-           coordinator](const SvcResult& r) {
+           coordinator, in_outage](const SvcResult& r) {
             --report.unsettled;
             auto it = tracked.find(client);
             if (it != tracked.end() && --it->second == 0) {
               tracked.erase(it);
             }
+            if (in_outage && r.txn.has_value()) {
+              report.outage_latency.Add(r.latency);
+            }
             if (r.ok()) {
               ++report.committed;
               ++report.shape_committed[static_cast<int>(shape)];
+              report.outage_committed += in_outage ? 1 : 0;
+              if (r.txn.has_value() && !r.txn->output.is_certain()) {
+                ++report.uncertain_outputs;
+              }
               report.conservation_drift -= delta;  // expected delta; the
               // final-balance scan below adds the observed total back.
               if (catalog_ != nullptr && params_.trace != nullptr &&
@@ -246,6 +263,7 @@ ClusterWorkloadReport ClusterWorkload::Run() {
               }
             } else {
               ++report.aborted;
+              report.outage_aborted += in_outage ? 1 : 0;
             }
           });
       report.peak_inflight =
@@ -298,9 +316,7 @@ ClusterWorkloadReport ClusterWorkload::Run() {
   report.goodput =
       static_cast<double>(report.committed) / params_.duration;
 
-  const EngineMetrics metrics = cluster_->TotalMetrics();
-  report.polyvalue_installs = metrics.polyvalue_installs;
-  report.polyvalues_resolved = metrics.polyvalues_resolved;
+  report.metrics = cluster_->TotalMetrics();
 
   // Late commits: a deadline answer whose attempt the coordinator
   // decided to commit applied its delta too. No decision record at the

@@ -22,10 +22,14 @@
 //     deadline_exceeded | budget_exhausted
 // and the report's ExactlyOnce() cross-checks the sum. Failure
 // injection is the caller's business: install crash/recover/drop
-// schedules on cluster().sim() between construction and Run(); Run()
-// heals everything after the offered-load window and lets the system
-// drain, so post-run audits (TraceAuditor quiescent invariants,
-// conservation, residual uncertainty) are meaningful.
+// schedules on cluster().sim() between construction and Run(), or run
+// the workload through flap.h's StrandingFlap, whose every coordinator
+// crash strands a voter. Run() heals everything after the offered-load
+// window and lets the system drain, so post-run audits (TraceAuditor
+// quiescent invariants, conservation, residual uncertainty) are
+// meaningful. An arrival that finds some site crashed also counts
+// toward the report's outage_* fields, which read only the cluster's
+// state and draw no randomness.
 #ifndef SRC_WORKLOAD_DRIVER_H_
 #define SRC_WORKLOAD_DRIVER_H_
 
@@ -33,6 +37,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/stats.h"
 #include "src/replica/catalog.h"
 #include "src/replica/placement.h"
 #include "src/replica/topology.h"
@@ -113,12 +118,23 @@ struct ClusterWorkloadReport {
   double p999 = 0.0;
   double goodput = 0.0;  // commits per offered-load second
 
+  // Arrivals offered while some site was crashed, and how they settled.
+  // outage_latency covers the answers that carry a transaction result.
+  uint64_t outage_offered = 0;
+  uint64_t outage_committed = 0;
+  uint64_t outage_aborted = 0;
+  RunningStat outage_latency;  // seconds
+
+  // Commits answered with a polyvalue output (still in doubt).
+  uint64_t uncertain_outputs = 0;
+
   // In-doubt window statistics, sampled every sample_interval.
   double peak_uncertain_items = 0.0;
   double avg_uncertain_items = 0.0;
-  uint64_t polyvalue_installs = 0;
-  uint64_t polyvalues_resolved = 0;
   uint64_t final_uncertain_items = 0;
+
+  // Every site's engine counters, summed after the drain.
+  EngineMetrics metrics;
 
   // Conservation audit: final total balance minus (initial total +
   // committed increment deltas). A DEADLINE_EXCEEDED answer counts its

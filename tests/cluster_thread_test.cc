@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "src/common/strings.h"
 #include "src/net/tcp_transport.h"
 #include "src/system/cluster.h"
 
@@ -74,7 +75,7 @@ TEST(ThreadClusterTest, ConcurrentDisjointTransactionsAllCommit) {
   options.engine = ThreadConfig();
   ThreadCluster cluster(options);
   for (int i = 0; i < 16; ++i) {
-    cluster.Load(i % 4, "k" + std::to_string(i), Value::Int(0));
+    cluster.Load(i % 4, StrCat("k", i), Value::Int(0));
   }
   std::atomic<int> committed{0};
   std::vector<std::thread> clients;
@@ -82,7 +83,7 @@ TEST(ThreadClusterTest, ConcurrentDisjointTransactionsAllCommit) {
     clients.emplace_back([&cluster, &committed, i] {
       const auto result = cluster.SubmitAndWait(
           i % 4,
-          Increment("k" + std::to_string(i), cluster.site_id(i % 4)));
+          Increment(StrCat("k", i), cluster.site_id(i % 4)));
       if (result.has_value() && result->committed()) {
         ++committed;
       }

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/store/item_store.h"
 #include "src/system/cluster.h"
 
@@ -17,7 +18,7 @@ namespace polyvalue {
 namespace {
 
 std::string Key(int owner, int i) {
-  return "r" + std::to_string(owner) + "/k" + std::to_string(i);
+  return StrCat("r", owner, "/k", i);
 }
 
 TEST(ItemStoreShardStressTest, DisjointWritersNeverInterfere) {
@@ -149,7 +150,7 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
   // Disjoint plane: client t owns keys d<t>/0..5 at site t%4.
   for (int t = 0; t < kClients; ++t) {
     for (int i = 0; i < kDisjointPerClient; ++i) {
-      cluster.Load(t % 4, "d" + std::to_string(t) + "/" + std::to_string(i),
+      cluster.Load(t % 4, StrCat("d", t, "/", i),
                    Value::Int(0));
     }
   }
@@ -166,7 +167,7 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
       // Disjoint keys: must always commit (nobody else touches them).
       for (int i = 0; i < kDisjointPerClient; ++i) {
         const std::string key =
-            "d" + std::to_string(t) + "/" + std::to_string(i);
+            StrCat("d", t, "/", i);
         const auto result = cluster.SubmitAndWait(
             (t + 1) % 4, Increment(key, cluster.site_id(t % 4)), 20.0);
         if (result.has_value() && result->committed()) {
@@ -213,7 +214,7 @@ TEST(EngineShardStressTest, DisjointAndOverlappingRangesThroughEngine) {
   for (int t = 0; t < kClients; ++t) {
     for (int i = 0; i < kDisjointPerClient; ++i) {
       const std::string key =
-          "d" + std::to_string(t) + "/" + std::to_string(i);
+          StrCat("d", t, "/", i);
       EXPECT_EQ(cluster.site(t % 4).Peek(key).value().certain_value(),
                 Value::Int(1))
           << key;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/strings.h"
 
 namespace polyvalue {
 namespace {
@@ -95,14 +96,12 @@ TEST(ParserErrorTest, NumericRangeEdges) {
   ExpectRejected("T99999999999999999999.1");
   const uint64_t site_limit = 1ULL << (64 - kTxnSiteShift);
   const uint64_t seq_limit = 1ULL << kTxnSiteShift;
-  ExpectRejected("T" + std::to_string(site_limit) + ".1");
-  ExpectRejected("T1." + std::to_string(seq_limit));
+  ExpectRejected(StrCat("T", site_limit, ".1"));
+  ExpectRejected(StrCat("T1.", seq_limit));
   // All-ones site.seq IS kInvalid and must be refused...
-  ExpectRejected("T" + std::to_string(site_limit - 1) + "." +
-                 std::to_string(seq_limit - 1));
+  ExpectRejected(StrCat("T", site_limit - 1, ".", seq_limit - 1));
   // ...but one below it is representable and parses.
-  EXPECT_TRUE(ParseCondition("T" + std::to_string(site_limit - 1) + "." +
-                             std::to_string(seq_limit - 2))
+  EXPECT_TRUE(ParseCondition(StrCat("T", site_limit - 1, ".", seq_limit - 2))
                   .ok());
 }
 

@@ -5,6 +5,7 @@
 // network did).
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/obs/audit.h"
 #include "src/system/cluster.h"
 
@@ -169,7 +170,7 @@ TEST(PartitionTest, FlappingPartitionConvergesAfterFinalHeal) {
   options.trace = &trace;
   SimCluster cluster(options);
   for (int s = 0; s < 4; ++s) {
-    cluster.Load(s, "k" + std::to_string(s), Value::Int(100));
+    cluster.Load(s, StrCat("k", s), Value::Int(100));
   }
   Rng rng(99);
   // Random cross-site transfers under a partition that opens and closes
@@ -186,8 +187,8 @@ TEST(PartitionTest, FlappingPartitionConvergesAfterFinalHeal) {
       size_t t = (f + 1 + rng.NextBelow(3)) % 4;
       ++submitted;
       cluster.Submit(c,
-                     Transfer("k" + std::to_string(f), cluster.site_id(f),
-                              "k" + std::to_string(t), cluster.site_id(t),
+                     Transfer(StrCat("k", f), cluster.site_id(f),
+                              StrCat("k", t), cluster.site_id(t),
                               1),
                      [](const TxnResult&) {});
     });

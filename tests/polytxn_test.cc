@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
+
 namespace polyvalue {
 namespace {
 
@@ -159,7 +161,7 @@ TEST(PolyTxnTest, AnyAlternativeAbortAbortsWhole) {
 TEST(PolyTxnTest, FanOutCapEnforced) {
   std::map<ItemKey, PolyValue> inputs;
   for (int i = 0; i < 6; ++i) {
-    inputs.emplace("k" + std::to_string(i),
+    inputs.emplace(StrCat("k", i),
                    TwoWay(TxnId(i + 1), i, i + 100));
   }
   PolyTxnOptions options;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/obs/audit.h"
 
 namespace polyvalue {
@@ -306,7 +307,7 @@ OverloadOutcome RunOverload(double offered_rps, double duration,
   SimCluster cluster(options);
   constexpr int kItems = 8;
   for (int i = 0; i < kItems; ++i) {
-    cluster.Load(1, "h" + std::to_string(i), Value::Int(0));
+    cluster.Load(1, StrCat("h", i), Value::Int(0));
   }
   SvcOptions svc;
   svc.admission.rate_limit = rate_limit;
@@ -323,7 +324,7 @@ OverloadOutcome RunOverload(double offered_rps, double duration,
   double t = arrivals.NextExponential(1.0 / offered_rps);
   while (t < duration) {
     const std::string key =
-        "h" + std::to_string(pick.NextBelow(kItems));
+        StrCat("h", pick.NextBelow(kItems));
     cluster.sim().At(t, [&door, &cluster, key] {
       door.Call(0, [&cluster, key] {
         return Increment(key, cluster.site_id(1));
@@ -387,7 +388,7 @@ TEST(SimFrontDoorOverloadTest, TraceStaysAuditCleanUnderOverload) {
   options.trace = &trace;
   SimCluster cluster(options);
   for (int i = 0; i < 4; ++i) {
-    cluster.Load(1, "h" + std::to_string(i), Value::Int(0));
+    cluster.Load(1, StrCat("h", i), Value::Int(0));
   }
   SvcOptions svc;
   svc.admission.rate_limit = 100.0;
@@ -400,7 +401,7 @@ TEST(SimFrontDoorOverloadTest, TraceStaysAuditCleanUnderOverload) {
   double t = 0.0;
   for (int i = 0; i < 200; ++i) {
     t += arrivals.NextExponential(1.0 / 400.0);
-    const std::string key = "h" + std::to_string(pick.NextBelow(4));
+    const std::string key = StrCat("h", pick.NextBelow(4));
     cluster.sim().At(t, [&door, &cluster, key] {
       door.Call(0, [&cluster, key] {
         return Increment(key, cluster.site_id(1));

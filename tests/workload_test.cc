@@ -1,24 +1,26 @@
-// Tests for the failure-injection workload harness (the machinery behind
-// the availability benches).
-#include "src/workload/transfer.h"
-
+// Tests for the availability workload: ClusterWorkload driving transfers
+// through a coordinator flap (the machinery behind the availability
+// benches).
 #include <gtest/gtest.h>
+
+#include "src/workload/flap.h"
 
 namespace polyvalue {
 namespace {
 
-WorkloadParams SmallParams(InDoubtPolicy policy) {
-  WorkloadParams p;
+ClusterWorkloadParams SmallParams(InDoubtPolicy policy) {
+  ClusterWorkloadParams p;
   p.sites = 3;
-  p.accounts_per_site = 8;
+  p.keys = 24;
   p.initial_balance = 1000;
-  p.txn_rate = 20;
+  p.arrival.rate = 20;
   p.duration = 12;
   p.settle_time = 20;
-  p.crash_site = 0;
-  p.crash_time = 3;
-  p.recover_time = 8;
+  p.deadline = 15;
+  p.svc.max_attempts = 1;
   p.seed = 5;
+  p.min_delay = 0.005;
+  p.max_delay = 0.015;
   p.engine.prepare_timeout = 0.25;
   p.engine.ready_timeout = 0.25;
   p.engine.wait_timeout = 0.05;
@@ -27,23 +29,35 @@ WorkloadParams SmallParams(InDoubtPolicy policy) {
   return p;
 }
 
+// Site 0 crashes `cycles` times (planned first at t = 4 s), and stays
+// down `outage` seconds each time.
+ClusterWorkloadReport RunFlapped(const ClusterWorkloadParams& params,
+                                 double outage, int cycles = 1) {
+  StrandingFlap flap(outage, cycles);
+  ClusterWorkloadReport report = flap.Run(params);
+  EXPECT_EQ(flap.crashes(), cycles) << report.Summary();
+  return report;
+}
+
 TEST(WorkloadTest, PolyvaluePolicyConservesMoneyAndResolves) {
-  const WorkloadReport report =
-      RunTransferWorkload(SmallParams(InDoubtPolicy::kPolyvalue));
-  EXPECT_GT(report.submitted, 50u);
+  const ClusterWorkloadReport report =
+      RunFlapped(SmallParams(InDoubtPolicy::kPolyvalue), 5);
+  EXPECT_GT(report.offered, 50u);
   EXPECT_GT(report.committed, 0u);
   // Every uncertainty drains after healing...
-  EXPECT_TRUE(report.all_items_certain) << report.Summary();
-  // ...and transfers conserve total balance exactly.
+  EXPECT_EQ(report.final_uncertain_items, 0u) << report.Summary();
+  // ...transfers conserve total balance exactly...
   EXPECT_EQ(report.conservation_drift, 0) << report.Summary();
-  EXPECT_EQ(report.no_response, 0u) << report.Summary();
+  // ...and every request gets exactly one answer.
+  EXPECT_TRUE(report.ExactlyOnce()) << report.Summary();
 }
 
 TEST(WorkloadTest, BlockingPolicyAlsoConservesMoney) {
-  const WorkloadReport report =
-      RunTransferWorkload(SmallParams(InDoubtPolicy::kBlock));
-  EXPECT_TRUE(report.all_items_certain) << report.Summary();
+  const ClusterWorkloadReport report =
+      RunFlapped(SmallParams(InDoubtPolicy::kBlock), 5);
+  EXPECT_EQ(report.final_uncertain_items, 0u) << report.Summary();
   EXPECT_EQ(report.conservation_drift, 0) << report.Summary();
+  EXPECT_TRUE(report.ExactlyOnce()) << report.Summary();
 }
 
 TEST(WorkloadTest, PolyvalueBeatsBlockingDuringOutage) {
@@ -52,48 +66,64 @@ TEST(WorkloadTest, PolyvalueBeatsBlockingDuringOutage) {
   // blocking cluster (and in stressed configurations strictly more; the
   // bench sweeps that regime — here we assert the weak inequality plus
   // the blocking signature).
-  WorkloadParams params = SmallParams(InDoubtPolicy::kPolyvalue);
-  params.recover_time = 10;
-  params.txn_rate = 120;       // hot traffic: the crash lands mid-protocol
-  params.min_delay = 0.01;     // wide READY->COMPLETE window
+  ClusterWorkloadParams params = SmallParams(InDoubtPolicy::kPolyvalue);
+  params.arrival.rate = 120;  // hot traffic: the crash lands mid-protocol
+  params.min_delay = 0.01;    // wide READY->COMPLETE window
   params.max_delay = 0.02;
-  const WorkloadReport poly = RunTransferWorkload(params);
+  const ClusterWorkloadReport poly = RunFlapped(params, 7);
   params.engine.policy = InDoubtPolicy::kBlock;
-  const WorkloadReport block = RunTransferWorkload(params);
+  const ClusterWorkloadReport block = RunFlapped(params, 7);
   EXPECT_GE(poly.outage_committed, block.outage_committed)
       << "poly: " << poly.Summary() << "\nblock: " << block.Summary();
   EXPECT_GT(block.metrics.blocked_holds + block.metrics.wait_timeouts, 0u);
 }
 
 TEST(WorkloadTest, NoFailuresMeansNoPolyvalues) {
-  WorkloadParams params = SmallParams(InDoubtPolicy::kPolyvalue);
-  params.crash_time = 1e9;  // never
-  params.recover_time = 2e9;
-  const WorkloadReport report = RunTransferWorkload(params);
-  EXPECT_EQ(report.polyvalue_installs, 0u);
+  const ClusterWorkloadReport report = RunFlapped(
+      SmallParams(InDoubtPolicy::kPolyvalue), /*outage=*/5, /*cycles=*/0);
+  EXPECT_EQ(report.outage_offered, 0u);
+  EXPECT_EQ(report.metrics.polyvalue_installs, 0u);
   EXPECT_EQ(report.uncertain_outputs, 0u);
-  EXPECT_TRUE(report.all_items_certain);
+  EXPECT_EQ(report.final_uncertain_items, 0u);
   EXPECT_EQ(report.conservation_drift, 0);
   EXPECT_GT(report.committed, 0u);
 }
 
 TEST(WorkloadTest, DeterministicForSeed) {
-  const WorkloadReport a =
-      RunTransferWorkload(SmallParams(InDoubtPolicy::kPolyvalue));
-  const WorkloadReport b =
-      RunTransferWorkload(SmallParams(InDoubtPolicy::kPolyvalue));
-  EXPECT_EQ(a.submitted, b.submitted);
+  const ClusterWorkloadReport a =
+      RunFlapped(SmallParams(InDoubtPolicy::kPolyvalue), 5);
+  const ClusterWorkloadReport b =
+      RunFlapped(SmallParams(InDoubtPolicy::kPolyvalue), 5);
+  EXPECT_EQ(a.schedule_hash, b.schedule_hash);
+  EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.aborted, b.aborted);
   EXPECT_EQ(a.outage_committed, b.outage_committed);
+  EXPECT_EQ(a.Summary(), b.Summary());
 }
 
 TEST(WorkloadTest, ReportSummaryIsInformative) {
-  const WorkloadReport report =
-      RunTransferWorkload(SmallParams(InDoubtPolicy::kPolyvalue));
+  const ClusterWorkloadReport report =
+      RunFlapped(SmallParams(InDoubtPolicy::kPolyvalue), 5);
   const std::string summary = report.Summary();
-  EXPECT_NE(summary.find("submitted="), std::string::npos);
+  EXPECT_NE(summary.find("offered="), std::string::npos);
+  EXPECT_NE(summary.find("outage:"), std::string::npos);
   EXPECT_NE(summary.find("drift="), std::string::npos);
+}
+
+TEST(WorkloadTest, EveryCrashStrandsAVoter) {
+  // Each crash lands while a participant's READY is in flight to the
+  // flapping coordinator, so under blocking 2PC that participant waits
+  // out the whole outage, whatever the seed.
+  constexpr double kOutage = 4;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ClusterWorkloadParams params = SmallParams(InDoubtPolicy::kBlock);
+    params.seed = seed;
+    const ClusterWorkloadReport report =
+        RunFlapped(params, kOutage);
+    EXPECT_GE(report.metrics.wait_phase_max, 0.9 * kOutage)
+        << "seed " << seed << ": " << report.Summary();
+  }
 }
 
 }  // namespace
